@@ -689,6 +689,25 @@ func BenchmarkTLPEncodeDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemBuildWarm measures the set-up every benchmark cell
+// pays before it simulates: building NFP6000-BDW (two 25 MB LLCs) and
+// host-warming a window of its buffer. B/op should follow the window,
+// not the LLC size.
+func BenchmarkSystemBuildWarm(b *testing.B) {
+	for _, w := range []struct {
+		name   string
+		window int
+	}{{"8KB", 8 << 10}, {"64MB", 64 << 20}} {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				inst := mustBuild(b, "NFP6000-BDW", sysconf.Options{NoJitter: true})
+				inst.Buffer.WarmHost(0, w.window)
+			}
+		})
+	}
+}
+
 // BenchmarkCacheDeviceAccess measures the LLC model's per-access cost,
 // which bounds simulator throughput.
 func BenchmarkCacheDeviceAccess(b *testing.B) {

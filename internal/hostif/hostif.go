@@ -253,11 +253,14 @@ func (b *Buffer) PhysAddr(off int) uint64 {
 func (b *Buffer) Chunks() int { return len(b.chunks) }
 
 // WarmHost writes [off, off+size) from the CPU on the buffer's node,
-// pulling it into that node's LLC (paper §4 "host warm").
+// pulling it into that node's LLC (paper §4 "host warm"). Every
+// physically contiguous piece goes to the LLC in one call.
 func (b *Buffer) WarmHost(off, size int) {
+	var spans []mem.Span
 	b.forRange(off, size, func(pa uint64, n int) {
-		b.host.ms.WarmHost(b.Node, pa, n)
+		spans = append(spans, mem.Span{Addr: pa, Size: n})
 	})
+	b.host.ms.WarmHost(b.Node, spans)
 }
 
 // WarmDevice loads [off, off+size) through the DDIO device-write path

@@ -27,17 +27,46 @@ const (
 	Dirty
 )
 
+// way is the metadata of one cache line in 16 bytes: its tag (the line
+// number) and a packed word holding, from the low bit up,
+//
+//	bit 0       validBit: the line holds data
+//	bit 1       dirtyBit: the line is Dirty rather than Clean
+//	bit 2       ddioBit: allocated by a device write (counts against
+//	            the DDIO quota)
+//	bits 3-15   the low epochBits of the Thrash generation that
+//	            allocated the line
+//	bits 16-63  use: the cache's LRU clock at the last touch
+//
+// A line is resident only when its valid bit is set and its epoch is
+// the cache's, so lookup is two word compares.
 type way struct {
-	tag   uint64
-	use   uint64 // global LRU clock value of last touch
-	epoch uint64 // Thrash generation that allocated the line
-	state LineState
-	ddio  bool // allocated by a device write (counts against the DDIO quota)
+	tag  uint64
+	meta uint64
 }
 
-type cacheSet struct {
-	ways []way
-}
+const (
+	validBit = 1 << iota
+	dirtyBit
+	ddioBit
+
+	epochShift = 3
+	epochBits  = 13
+	epochMask  = 1<<epochBits - 1
+	keyMask    = epochMask<<epochShift | validBit // meta bits lookup matches
+	useShift   = epochShift + epochBits
+	useLimit   = 1 << (64 - useShift) // clock values that fit in use
+)
+
+// use returns the LRU clock value of the line's last touch.
+func (w *way) use() uint64 { return w.meta >> useShift }
+
+// blockSets is the number of consecutive sets whose way metadata is
+// allocated together. A block is allocated the first time a line is
+// placed in one of its sets; until then its sets read as all-Invalid.
+// A run that touches a few kilobytes of a multi-megabyte LLC thereby
+// allocates a few blocks instead of the whole cache's metadata.
+const blockSets = 64
 
 // CacheConfig shapes a set-associative LLC.
 type CacheConfig struct {
@@ -51,15 +80,22 @@ type CacheConfig struct {
 // and a per-set DDIO allocation quota. It tracks only metadata (tags and
 // states), not data.
 type Cache struct {
-	cfg   CacheConfig
-	sets  []cacheSet
+	cfg CacheConfig
+	// blocks[b] holds the ways of sets [b*blockSets, (b+1)*blockSets),
+	// set-major; nil until a line is placed in one of those sets.
+	blocks [][]way
+	// clock orders touches for LRU. It stays below useLimit: renumber
+	// rewrites the stored use values when it would reach it.
 	clock uint64
 	// epoch implements O(1) Thrash: a line is valid only when its epoch
 	// matches the cache's, so bumping the cache epoch invalidates every
-	// line without rewriting the (multi-megabyte) way metadata. The
-	// benchmark harness thrashes before every run, so this dominates
-	// setup cost for short runs and sweep grids.
-	epoch uint64
+	// line without rewriting the way metadata. It counts modulo
+	// 2^epochBits; key is the meta pattern of a resident line.
+	epoch, key uint64
+	// cold is set while no line has been allocated since NewCache or
+	// the last Thrash, i.e. every way is Invalid. WarmHost relies on it
+	// for its closed form.
+	cold bool
 
 	// Address-decomposition constants hoisted out of the access path:
 	// when LineSize is a power of two (the practical case) lineShift
@@ -75,6 +111,7 @@ type Cache struct {
 }
 
 // NewCache builds a cache; SizeBytes must be a multiple of Ways*LineSize.
+// No way metadata is allocated until lines are placed.
 func NewCache(cfg CacheConfig) *Cache {
 	if cfg.LineSize <= 0 {
 		cfg.LineSize = 64
@@ -89,7 +126,13 @@ func NewCache(cfg CacheConfig) *Cache {
 	if nsets < 1 {
 		nsets = 1
 	}
-	c := &Cache{cfg: cfg, sets: make([]cacheSet, nsets), nsets: uint64(nsets)}
+	c := &Cache{
+		cfg:    cfg,
+		blocks: make([][]way, (nsets+blockSets-1)/blockSets),
+		nsets:  uint64(nsets),
+		key:    validBit,
+		cold:   true,
+	}
 	c.lineShift = -1
 	if ls := uint64(cfg.LineSize); ls&(ls-1) == 0 {
 		for s := 0; uint64(1)<<s <= ls; s++ {
@@ -99,60 +142,123 @@ func NewCache(cfg CacheConfig) *Cache {
 			}
 		}
 	}
-	// One backing array for every set's ways: building a large LLC is
-	// two allocations instead of one per set, which dominates the cost
-	// of assembling a system instance (sweeps build one per grid cell).
-	backing := make([]way, nsets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i].ways = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	return c
 }
 
-// locate decomposes addr into its set and tag in one step. The tag is
-// the line number (identical to tagFor); the set is the line number
-// modulo the set count (identical to setFor).
-func (c *Cache) locate(addr uint64) (*cacheSet, uint64) {
-	var line uint64
+// lineOf returns the line number of addr, which is also its tag.
+func (c *Cache) lineOf(addr uint64) uint64 {
 	if c.lineShift >= 0 {
-		line = addr >> c.lineShift
-	} else {
-		line = addr / uint64(c.cfg.LineSize)
+		return addr >> c.lineShift
 	}
-	return &c.sets[line%c.nsets], line
+	return addr / uint64(c.cfg.LineSize)
+}
+
+// set returns the ways of set s, or nil while its block is unallocated.
+func (c *Cache) set(s uint64) []way {
+	b := c.blocks[s/blockSets]
+	if b == nil {
+		return nil
+	}
+	w := uint64(c.cfg.Ways)
+	i := s % blockSets * w
+	return b[i : i+w : i+w]
+}
+
+// place returns the ways of set s, allocating its block if needed.
+func (c *Cache) place(s uint64) []way {
+	bi := s / blockSets
+	if c.blocks[bi] == nil {
+		n := min(blockSets, c.nsets-bi*blockSets)
+		c.blocks[bi] = make([]way, n*uint64(c.cfg.Ways))
+	}
+	return c.set(s)
+}
+
+// tick advances the LRU clock for one access.
+func (c *Cache) tick() {
+	if c.clock == useLimit-1 {
+		c.renumber()
+	}
+	c.clock++
+}
+
+// renumber rewrites every resident line's use to its LRU rank within
+// its set (1 for the set's least recently used line) and restarts the
+// clock above the largest rank. Replacement only ever compares the use
+// values of resident lines in one set, so this changes no outcome; it
+// keeps the clock inside the bits way.meta has for it.
+func (c *Cache) renumber() {
+	nways := c.cfg.Ways
+	rank := make([]uint64, nways)
+	for _, b := range c.blocks {
+		for i := 0; i < len(b); i += nways {
+			ways := b[i : i+nways]
+			for j := range ways {
+				rank[j] = 1
+				for k := range ways {
+					if c.stateOf(&ways[k]) != Invalid && ways[k].use() < ways[j].use() {
+						rank[j]++
+					}
+				}
+			}
+			for j := range ways {
+				if c.stateOf(&ways[j]) != Invalid {
+					ways[j].meta = ways[j].meta&(1<<useShift-1) | rank[j]<<useShift
+				}
+			}
+		}
+	}
+	c.clock = uint64(nways)
 }
 
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return int(c.nsets) }
 
 // stateOf returns the effective state of a way: lines allocated before
 // the last Thrash are Invalid regardless of their stored state.
 func (c *Cache) stateOf(w *way) LineState {
-	if w.epoch != c.epoch {
+	switch {
+	case w.meta&keyMask != c.key:
 		return Invalid
+	case w.meta&dirtyBit != 0:
+		return Dirty
 	}
-	return w.state
+	return Clean
 }
 
 // Contains reports whether the line holding addr is resident, without
 // disturbing LRU state or statistics.
 func (c *Cache) Contains(addr uint64) bool {
-	s, tag := c.locate(addr)
-	return c.lookup(s, tag) >= 0
+	tag := c.lineOf(addr)
+	return c.lookup(c.set(tag%c.nsets), tag) >= 0
 }
 
-// lookup returns the way index of the line in s, or -1.
-func (c *Cache) lookup(s *cacheSet, tag uint64) int {
-	for i := range s.ways {
-		w := &s.ways[i]
-		if w.state != Invalid && w.epoch == c.epoch && w.tag == tag {
+// lookup returns the index of the line in ways, or -1.
+func (c *Cache) lookup(ways []way, tag uint64) int {
+	for i := range ways {
+		if ways[i].tag == tag && ways[i].meta&keyMask == c.key {
 			return i
 		}
 	}
 	return -1
+}
+
+// touch records an access to a resident line, marking it Dirty when
+// dirty is set.
+func (c *Cache) touch(w *way, dirty bool) {
+	w.meta = c.clock<<useShift | w.meta&(1<<useShift-1)
+	if dirty {
+		w.meta |= dirtyBit
+	}
+}
+
+// fill returns a resident line allocated now; flags adds dirtyBit and
+// ddioBit.
+func (c *Cache) fill(tag, flags uint64) way {
+	return way{tag: tag, meta: c.clock<<useShift | c.key | flags}
 }
 
 // AccessResult describes one line-granular cache access.
@@ -166,10 +272,11 @@ type AccessResult struct {
 // DDIO semantics reads are serviced from the cache on a hit but do not
 // allocate on a miss.
 func (c *Cache) DeviceRead(addr uint64) AccessResult {
-	c.clock++
-	s, tag := c.locate(addr)
-	if i := c.lookup(s, tag); i >= 0 {
-		s.ways[i].use = c.clock
+	c.tick()
+	tag := c.lineOf(addr)
+	ways := c.set(tag % c.nsets)
+	if i := c.lookup(ways, tag); i >= 0 {
+		c.touch(&ways[i], false)
 		c.Hits++
 		return AccessResult{Hit: true}
 	}
@@ -183,68 +290,76 @@ func (c *Cache) DeviceRead(addr uint64) AccessResult {
 // additionally fetches the line from memory (read-modify-write), which
 // is the DDIO latency penalty the paper measures.
 func (c *Cache) DeviceWrite(addr uint64, fullLine bool) AccessResult {
-	c.clock++
-	s, tag := c.locate(addr)
-	if i := c.lookup(s, tag); i >= 0 {
-		s.ways[i].use = c.clock
-		s.ways[i].state = Dirty
+	c.tick()
+	tag := c.lineOf(addr)
+	ways := c.set(tag % c.nsets)
+	if i := c.lookup(ways, tag); i >= 0 {
+		c.touch(&ways[i], true)
 		c.Hits++
 		return AccessResult{Hit: true}
 	}
 	c.Misses++
 	res := AccessResult{Fetched: !fullLine}
-	v := c.victimDDIO(s)
-	if st := c.stateOf(&s.ways[v]); st == Dirty {
+	if ways == nil {
+		ways = c.place(tag % c.nsets)
+	}
+	v := c.victimDDIO(ways)
+	if st := c.stateOf(&ways[v]); st == Dirty {
 		c.Writebacks++
 		res.EvictedDirty = true
 		c.Evictions++
 	} else if st != Invalid {
 		c.Evictions++
 	}
-	s.ways[v] = way{tag: tag, state: Dirty, ddio: true, use: c.clock, epoch: c.epoch}
+	ways[v] = c.fill(tag, dirtyBit|ddioBit)
+	c.cold = false
 	return res
 }
 
 // HostTouch simulates the CPU reading (write=false) or writing
 // (write=true) the line holding addr, allocating anywhere in the set.
-// Used by the cache-warming control interface (paper §4: "host warm").
 func (c *Cache) HostTouch(addr uint64, write bool) AccessResult {
-	c.clock++
-	s, tag := c.locate(addr)
-	if i := c.lookup(s, tag); i >= 0 {
-		s.ways[i].use = c.clock
-		if write {
-			s.ways[i].state = Dirty
-		}
+	return c.hostTouch(c.lineOf(addr), write)
+}
+
+func (c *Cache) hostTouch(tag uint64, write bool) AccessResult {
+	c.tick()
+	ways := c.set(tag % c.nsets)
+	if i := c.lookup(ways, tag); i >= 0 {
+		c.touch(&ways[i], write)
 		c.Hits++
 		return AccessResult{Hit: true}
 	}
 	c.Misses++
 	res := AccessResult{Fetched: true}
-	v := c.victimAny(s)
-	if vst := c.stateOf(&s.ways[v]); vst == Dirty {
+	if ways == nil {
+		ways = c.place(tag % c.nsets)
+	}
+	v := c.victimAny(ways)
+	if vst := c.stateOf(&ways[v]); vst == Dirty {
 		c.Writebacks++
 		res.EvictedDirty = true
 		c.Evictions++
 	} else if vst != Invalid {
 		c.Evictions++
 	}
-	st := Clean
+	var flags uint64
 	if write {
-		st = Dirty
+		flags = dirtyBit
 	}
-	s.ways[v] = way{tag: tag, state: st, ddio: false, use: c.clock, epoch: c.epoch}
+	ways[v] = c.fill(tag, flags)
+	c.cold = false
 	return res
 }
 
 // victimAny picks an invalid way or the global LRU way.
-func (c *Cache) victimAny(s *cacheSet) int {
+func (c *Cache) victimAny(ways []way) int {
 	best := -1
-	for i := range s.ways {
-		if c.stateOf(&s.ways[i]) == Invalid {
+	for i := range ways {
+		if c.stateOf(&ways[i]) == Invalid {
 			return i
 		}
-		if best < 0 || s.ways[i].use < s.ways[best].use {
+		if best < 0 || ways[i].use() < ways[best].use() {
 			best = i
 		}
 	}
@@ -257,22 +372,22 @@ func (c *Cache) victimAny(s *cacheSet) int {
 // invalid ways exist — because the hardware dedicates specific ways to
 // IO allocation. Below the quota, an invalid way is preferred, then the
 // set-global LRU way.
-func (c *Cache) victimDDIO(s *cacheSet) int {
+func (c *Cache) victimDDIO(ways []way) int {
 	ddioCount := 0
 	bestAll, bestDDIO, firstInvalid := -1, -1, -1
-	for i := range s.ways {
-		if c.stateOf(&s.ways[i]) == Invalid {
+	for i := range ways {
+		if c.stateOf(&ways[i]) == Invalid {
 			if firstInvalid < 0 {
 				firstInvalid = i
 			}
 			continue
 		}
-		if bestAll < 0 || s.ways[i].use < s.ways[bestAll].use {
+		if bestAll < 0 || ways[i].use() < ways[bestAll].use() {
 			bestAll = i
 		}
-		if s.ways[i].ddio {
+		if ways[i].meta&ddioBit != 0 {
 			ddioCount++
-			if bestDDIO < 0 || s.ways[i].use < s.ways[bestDDIO].use {
+			if bestDDIO < 0 || ways[i].use() < ways[bestDDIO].use() {
 				bestDDIO = i
 			}
 		}
@@ -286,12 +401,170 @@ func (c *Cache) victimDDIO(s *cacheSet) int {
 	return bestAll
 }
 
+// Span is the byte range [Addr, Addr+Size) of physical memory.
+type Span struct {
+	Addr uint64
+	Size int
+}
+
+// lineSpan is the half-open range of line numbers [lo, hi), with how it
+// spreads over the sets: it starts in set first and gives every set per
+// lines, plus one more to the rem sets from first on.
+type lineSpan struct{ lo, hi, first, per, rem uint64 }
+
+// WarmHost writes every line of spans from the CPU, span by span in
+// ascending address order: the same as HostTouch(a, true) for each
+// line a in turn. It is the paper's "host warm" control (§4).
+//
+// The benchmarks thrash the cache before warming, and their windows
+// outgrow the LLC, where only the last lines of each set survive. So
+// when the cache is cold and the spans strictly ascend in line space,
+// WarmHost writes the final state directly (warmCold), at a cost that
+// scales with the lines left resident rather than the lines touched.
+// Any other input falls back to touching line by line.
+func (c *Cache) WarmHost(spans []Span) {
+	var buf [8]lineSpan
+	ls := buf[:0]
+	var n uint64 // lines in all spans
+	ascending := true
+	for _, sp := range spans {
+		if sp.Size <= 0 {
+			continue
+		}
+		lo, hi := c.lineOf(sp.Addr), c.lineOf(sp.Addr+uint64(sp.Size)-1)+1
+		if len(ls) > 0 && lo < ls[len(ls)-1].hi {
+			ascending = false
+		}
+		ls = append(ls, lineSpan{lo, hi, lo % c.nsets, (hi - lo) / c.nsets, (hi - lo) % c.nsets})
+		n += hi - lo
+	}
+	if c.cold && ascending && n+uint64(c.cfg.Ways) < useLimit {
+		c.warmCold(ls, n)
+		return
+	}
+	for _, l := range ls {
+		for t := l.lo; t < l.hi; t++ {
+			c.hostTouch(t, true)
+		}
+	}
+}
+
+// warmCold is WarmHost's closed form for a cold cache and spans that
+// strictly ascend in line space, n lines in all. Every line then misses, and in a set
+// that receives m lines the k-th of them (from 0) takes slot k mod
+// ways: the first ways lines fill the invalid ways in order, and each
+// later one evicts the line ways before it, the set's LRU line, from
+// that line's slot. So the last min(m, ways) lines survive, each with
+// use = clock0 + (its index among all lines) + 1, and the other lines
+// are evicted dirty. warmCold visits each touched set once, counts its
+// lines per span arithmetically, and writes only the survivors.
+func (c *Cache) warmCold(ls []lineSpan, n uint64) {
+	if n == 0 {
+		return
+	}
+	var cover uint64
+	for _, l := range ls {
+		cover += min(l.hi-l.lo, c.nsets)
+	}
+	if c.clock+n >= useLimit {
+		c.renumber()
+	}
+	var evicted uint64
+	if cover >= c.nsets {
+		for s := uint64(0); s < c.nsets; s++ {
+			evicted += c.warmSet(ls, n, s)
+		}
+	} else {
+		// Every span is shorter than the set count, so it reaches
+		// each of its sets once; warm a set from the first span that
+		// reaches it.
+		for i, l := range ls {
+			for t := l.lo; t < l.hi; t++ {
+				if s := t % c.nsets; !reaches(ls[:i], s, c.nsets) {
+					evicted += c.warmSet(ls, n, s)
+				}
+			}
+		}
+	}
+	c.clock += n
+	c.Misses += n
+	c.Evictions += evicted
+	c.Writebacks += evicted
+	c.cold = false
+}
+
+// warmSet writes the survivors of set s for warmCold, given the total
+// line count n, and returns the number of lines the set evicted.
+func (c *Cache) warmSet(ls []lineSpan, n, s uint64) uint64 {
+	var m uint64
+	for _, l := range ls {
+		_, cnt := linesIn(l, s, c.nsets)
+		m += cnt
+	}
+	if m == 0 {
+		return 0
+	}
+	nways := uint64(c.cfg.Ways)
+	keep := min(m, nways)
+	ways := c.place(s)
+	slot := (m - 1) % nways // slot of the set's last line
+	left, base := keep, n   // survivors to write; global index past the span
+	for j := len(ls) - 1; left > 0; j-- {
+		l := ls[j]
+		base -= l.hi - l.lo
+		off, cnt := linesIn(l, s, c.nsets)
+		// Walk l's lines in set s from its last one back.
+		for o := off + cnt*c.nsets; cnt > 0 && left > 0; cnt, left = cnt-1, left-1 {
+			o -= c.nsets
+			ways[slot] = way{tag: l.lo + o, meta: (c.clock+base+o+1)<<useShift | c.key | dirtyBit}
+			if slot == 0 {
+				slot = nways
+			}
+			slot--
+		}
+	}
+	return m - keep
+}
+
+// linesIn returns the offset within l of its first line in set s and
+// how many of l's lines map to s.
+func linesIn(l lineSpan, s, nsets uint64) (off, cnt uint64) {
+	off = s - l.first
+	if s < l.first {
+		off += nsets
+	}
+	cnt = l.per
+	if off < l.rem {
+		cnt++
+	}
+	return off, cnt
+}
+
+// reaches reports whether any of ls has a line in set s.
+func reaches(ls []lineSpan, s, nsets uint64) bool {
+	for _, l := range ls {
+		if _, cnt := linesIn(l, s, nsets); cnt > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // Thrash resets the cache to a cold state, as the paper's control
 // programs do before every benchmark run. It is O(1): bumping the
 // cache epoch invalidates every line lazily instead of rewriting the
-// way metadata of the entire LLC.
+// way metadata. Only when the stored epoch wraps, once every
+// 2^epochBits calls, does it clear the allocated blocks, so that lines
+// from 2^epochBits generations ago cannot look resident again.
 func (c *Cache) Thrash() {
-	c.epoch++
+	c.epoch = (c.epoch + 1) & epochMask
+	if c.epoch == 0 {
+		for _, b := range c.blocks {
+			clear(b)
+		}
+	}
+	c.key = c.epoch<<epochShift | validBit
+	c.cold = true
 }
 
 // ResetStats zeroes the statistics counters.
@@ -300,24 +573,18 @@ func (c *Cache) ResetStats() {
 }
 
 // Occupancy returns the number of resident (non-invalid) lines.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for i := range c.sets {
-		for j := range c.sets[i].ways {
-			if c.stateOf(&c.sets[i].ways[j]) != Invalid {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (c *Cache) Occupancy() int { return c.count(0) }
 
 // DDIOOccupancy returns the number of resident device-allocated lines.
-func (c *Cache) DDIOOccupancy() int {
+func (c *Cache) DDIOOccupancy() int { return c.count(ddioBit) }
+
+// count returns the number of resident lines that have every bit of
+// flags set. Unallocated blocks hold none.
+func (c *Cache) count(flags uint64) int {
 	n := 0
-	for i := range c.sets {
-		for j := range c.sets[i].ways {
-			if c.stateOf(&c.sets[i].ways[j]) != Invalid && c.sets[i].ways[j].ddio {
+	for _, b := range c.blocks {
+		for i := range b {
+			if b[i].meta&keyMask == c.key && b[i].meta&flags == flags {
 				n++
 			}
 		}

@@ -240,7 +240,7 @@ func TestSystemWarmHitColdMiss(t *testing.T) {
 	if cold != s.Config().DRAMLatency {
 		t.Errorf("cold read latency %v, want DRAM %v", cold, s.Config().DRAMLatency)
 	}
-	s.WarmHost(0, 0, 64)
+	s.WarmHost(0, []Span{{Addr: 0, Size: 64}})
 	warm := s.Access(false, 0, 0, 64)
 	if warm != s.Config().LLCLatency {
 		t.Errorf("warm read latency %v, want LLC %v", warm, s.Config().LLCLatency)
@@ -253,7 +253,7 @@ func TestSystemWarmHitColdMiss(t *testing.T) {
 
 func TestSystemRemotePenalty(t *testing.T) {
 	s, _ := NewSystem(sysConfig())
-	s.WarmHost(1, 0, 64)
+	s.WarmHost(1, []Span{{Addr: 0, Size: 64}})
 	local := s.Access(false, 0, 0, 64)  // node 0 cold
 	remote := s.Access(false, 1, 0, 64) // node 1 warm but remote
 	if remote != s.Config().LLCLatency+s.Config().RemoteLatency {
@@ -271,13 +271,13 @@ func TestSystemMultiLineWorstCase(t *testing.T) {
 	s, _ := NewSystem(sysConfig())
 	// Warm only the first line of a 256B range: latency is the worst
 	// (DRAM) line.
-	s.WarmHost(0, 0, 64)
+	s.WarmHost(0, []Span{{Addr: 0, Size: 64}})
 	got := s.Access(false, 0, 0, 256)
 	if got != s.Config().DRAMLatency {
 		t.Errorf("partially warm 256B read = %v, want DRAM", got)
 	}
 	// Fully warm: LLC.
-	s.WarmHost(0, 0, 256)
+	s.WarmHost(0, []Span{{Addr: 0, Size: 256}})
 	if got := s.Access(false, 0, 0, 256); got != s.Config().LLCLatency {
 		t.Errorf("fully warm 256B read = %v, want LLC", got)
 	}
@@ -312,7 +312,7 @@ func TestSystemDeviceWarm(t *testing.T) {
 
 func TestSystemThrash(t *testing.T) {
 	s, _ := NewSystem(sysConfig())
-	s.WarmHost(0, 0, 1024)
+	s.WarmHost(0, []Span{{Addr: 0, Size: 1024}})
 	s.Thrash()
 	if got := s.Access(false, 0, 0, 64); got != s.Config().DRAMLatency {
 		t.Errorf("read after thrash = %v, want DRAM", got)

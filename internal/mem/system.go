@@ -155,19 +155,16 @@ func (s *System) AccessFrom(write bool, from, home int, addr uint64, size int) s
 	return worst
 }
 
-// WarmHost writes the byte range [addr, addr+size) from the CPU on the
-// given node, bringing it into that node's LLC (dirty), as the paper's
-// "host warm" control does.
-func (s *System) WarmHost(node int, addr uint64, size int) {
+// WarmHost writes the byte ranges spans, in order, from the CPU on the
+// given node, bringing them into that node's LLC (dirty), as the
+// paper's "host warm" control does. Passing a buffer's physically
+// contiguous pieces in one call lets a cold LLC take its closed-form
+// warm (see Cache.WarmHost).
+func (s *System) WarmHost(node int, spans []Span) {
 	if node < 0 || node >= len(s.nodes) {
 		node = 0
 	}
-	llc := s.nodes[node]
-	line := s.line
-	first := addr / line * line
-	for a := first; a < addr+uint64(size); a += line {
-		llc.HostTouch(a, true)
-	}
+	s.nodes[node].WarmHost(spans)
 }
 
 // WarmDevice issues device writes over the range, loading it through the

@@ -1,6 +1,7 @@
 package sysconf
 
 import (
+	"runtime"
 	"testing"
 
 	"pciebench/internal/bench"
@@ -282,5 +283,31 @@ func TestWireDelayOrderingAcrossSystems(t *testing.T) {
 	// §6.5: ~430ns on BDW via the direct interface.
 	if bdw < 400*sim.Nanosecond || bdw > 470*sim.Nanosecond {
 		t.Errorf("BDW direct 64B = %v, want ~430ns", bdw)
+	}
+}
+
+// Building a system and host-warming a small window allocates with the
+// window, not the LLC: NFP6000-BDW's two 25 MB LLCs hold about 13 MB
+// of way metadata when fully populated, but an 8 KB warm places only
+// 128 lines.
+func TestBuildWarmAllocatesWithFootprint(t *testing.T) {
+	sys, err := ByName("NFP6000-BDW")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	inst, err := sys.Build(Options{NoJitter: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Buffer.WarmHost(0, 8<<10)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("build + 8 KB warm allocated %d bytes, want under 1 MB", got)
+	}
+	if got := inst.Mem.Node(0).Occupancy(); got != 128 {
+		t.Errorf("LLC occupancy after 8 KB warm = %d lines, want 128", got)
 	}
 }
