@@ -509,9 +509,9 @@ func BenchmarkFabricParallel(b *testing.B) {
 }
 
 // benchFabricCoupled drives a coupled topology — every endpoint behind
-// one shared gen3x8 switch, a single simulation island — serially or
-// through the windowed barrier-replay build. Results are byte-identical
-// either way, so the ns/op delta isolates the staging/merge overhead.
+// one shared gen3x8 switch, a single simulation island — at the given
+// simulation worker count. A single island always runs on one kernel,
+// so results and cost should match at every worker count.
 func benchFabricCoupled(b *testing.B, endpoints, simWorkers, pairs int) {
 	b.ReportAllocs()
 	sys, err := sysconf.ByName("NFP6000-BDW")
@@ -543,9 +543,9 @@ func BenchmarkFabricCoupledSerial(b *testing.B) {
 	b.Run("64ep", func(b *testing.B) { benchFabricCoupled(b, 64, 1, 60) })
 }
 
-// BenchmarkFabricCoupledParallel runs the same fabrics as one coupled
-// island: per-endpoint kernels staging pairs, a hub kernel replaying
-// them at window barriers, completions over windowed channels.
+// BenchmarkFabricCoupledParallel asks for four simulation workers on
+// the same fabrics; their one island still runs on one kernel, so this
+// pins that a worker budget costs a single-island fabric nothing.
 func BenchmarkFabricCoupledParallel(b *testing.B) {
 	b.Run("8ep", func(b *testing.B) { benchFabricCoupled(b, 8, 4, 400) })
 	b.Run("64ep", func(b *testing.B) { benchFabricCoupled(b, 64, 4, 60) })

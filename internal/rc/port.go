@@ -189,7 +189,7 @@ func (r *RootComplex) MirrorBAR(p *Port) error {
 }
 
 // crossDomainErr reports a peer-to-peer DMA that would cross simulation
-// domains. The conservative-parallel fabric partitions endpoints into
+// domains. The partitioned fabric splits endpoints into
 // independent event-kernel islands exactly because their traffic never
 // meets; a transfer into another island's BAR would break that
 // invariant, so it must run on a serial (simworkers=1) build instead.
@@ -339,53 +339,6 @@ func (p *Port) sendDown(at sim.Time, wire, payload int, pool dll.CreditType) sim
 	return arrive
 }
 
-// boundedChunks calls fn(offset, n) for consecutive chunks of
-// [addr, addr+sz) that do not cross bound-aligned address boundaries.
-// This is the same arithmetic as tlp.SplitRead/SplitWrite; the
-// equivalence is asserted by tests. DMARead/DMAWrite inline the same
-// loop rather than take a callback so their steady state stays free of
-// closure allocations; the tests pin the two forms to each other.
-func boundedChunks(addr uint64, sz, bound int, fn func(off, n int)) {
-	pos := addr
-	remaining := sz
-	off := 0
-	for remaining > 0 {
-		n := remaining
-		if boundary := (pos/uint64(bound) + 1) * uint64(bound); pos+uint64(n) > boundary {
-			n = int(boundary - pos)
-		}
-		fn(off, n)
-		pos += uint64(n)
-		remaining -= n
-		off += n
-	}
-}
-
-// cplChunks calls fn(offset, n) for the completion payloads of a read of
-// [addr, addr+sz): a short first chunk up to the RCB boundary when addr
-// is unaligned, then MPS-sized chunks (same arithmetic as
-// tlp.SplitCompletion).
-func cplChunks(addr uint64, sz, mps, rcb int, fn func(off, n int)) {
-	pos := addr
-	remaining := sz
-	off := 0
-	for remaining > 0 {
-		var n int
-		if mis := int(pos % uint64(rcb)); mis != 0 {
-			n = rcb - mis
-		} else {
-			n = mps
-		}
-		if n > remaining {
-			n = remaining
-		}
-		fn(off, n)
-		pos += uint64(n)
-		remaining -= n
-		off += n
-	}
-}
-
 // ReadResult is the timeline of a DMA read.
 type ReadResult struct {
 	// FirstData is when the first completion arrives at the device.
@@ -423,7 +376,8 @@ func (p *Port) DMAReadOrdered(at sim.Time, dma uint64, sz int, orderAfter sim.Ti
 
 	res := ReadResult{}
 	p.stats.ReadOps++
-	// MRRS-bounded request chunks (boundedChunks, in loop form).
+	// MRRS-bounded request chunks (boundedChunks in rc_test.go, in
+	// loop form).
 	pos := dma
 	remaining := sz
 	for remaining > 0 {
@@ -455,7 +409,7 @@ func (p *Port) DMAReadOrdered(at sim.Time, dma uint64, sz int, orderAfter sim.Ti
 		dataAt := p.r.crossSock(ready+memLat, p.sock, home, n)
 		// Completions serialize on the host->device direction: a short
 		// first chunk up to the RCB boundary, then MPS-sized chunks
-		// (cplChunks, in loop form).
+		// (cplChunks in rc_test.go, in loop form).
 		cpos := pa
 		crem := n
 		for crem > 0 {
@@ -514,7 +468,8 @@ func (p *Port) DMAWrite(at sim.Time, dma uint64, sz int) (WriteResult, error) {
 
 	res := WriteResult{}
 	p.stats.WriteOps++
-	// MPS-bounded write chunks (boundedChunks, in loop form).
+	// MPS-bounded write chunks (boundedChunks in rc_test.go, in loop
+	// form).
 	pos := dma
 	remaining := sz
 	for remaining > 0 {

@@ -269,6 +269,53 @@ func TestPipeCapsTransactionRate(t *testing.T) {
 	}
 }
 
+// boundedChunks calls fn(offset, n) for consecutive chunks of
+// [addr, addr+sz) that do not cross bound-aligned address boundaries:
+// the reference form of the loop Port.DMARead/DMAWrite inline (so their
+// steady state stays free of closure allocations), checked against
+// tlp.SplitRead/SplitWrite below.
+func boundedChunks(addr uint64, sz, bound int, fn func(off, n int)) {
+	pos := addr
+	remaining := sz
+	off := 0
+	for remaining > 0 {
+		n := remaining
+		if boundary := (pos/uint64(bound) + 1) * uint64(bound); pos+uint64(n) > boundary {
+			n = int(boundary - pos)
+		}
+		fn(off, n)
+		pos += uint64(n)
+		remaining -= n
+		off += n
+	}
+}
+
+// cplChunks calls fn(offset, n) for the completion payloads of a read of
+// [addr, addr+sz): a short first chunk up to the RCB boundary when addr
+// is unaligned, then MPS-sized chunks (same arithmetic as
+// tlp.SplitCompletion): the reference form of Port.DMARead's
+// completion loop.
+func cplChunks(addr uint64, sz, mps, rcb int, fn func(off, n int)) {
+	pos := addr
+	remaining := sz
+	off := 0
+	for remaining > 0 {
+		var n int
+		if mis := int(pos % uint64(rcb)); mis != 0 {
+			n = rcb - mis
+		} else {
+			n = mps
+		}
+		if n > remaining {
+			n = remaining
+		}
+		fn(off, n)
+		pos += uint64(n)
+		remaining -= n
+		off += n
+	}
+}
+
 // Property: rc's chunk arithmetic matches the protocol-tier splitters.
 func TestChunkingMatchesTLPPackage(t *testing.T) {
 	f := func(a uint32, s uint16, sel uint8) bool {

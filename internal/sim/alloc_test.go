@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // selfScheduler reschedules itself n times through the typed-event API.
 type selfScheduler struct{ n int }
@@ -71,5 +74,80 @@ func TestMultiServerEarliestSlot(t *testing.T) {
 	// its own start time.
 	if got := s.ScheduleAt(1000, 10); got != 1010 {
 		t.Fatalf("late reservation done at %v, want 1010", got)
+	}
+}
+
+// scanMultiServer is the reference MultiServer: an unordered slot
+// array searched linearly for the first earliest-free slot.
+type scanMultiServer struct {
+	k     *Kernel
+	slots []Time
+}
+
+func (s *scanMultiServer) ScheduleAt(t, d Time) Time {
+	best := 0
+	for i := 1; i < len(s.slots); i++ {
+		if s.slots[i] < s.slots[best] {
+			best = i
+		}
+	}
+	start := t
+	if s.k.now > start {
+		start = s.k.now
+	}
+	if s.slots[best] > start {
+		start = s.slots[best]
+	}
+	s.slots[best] = start + d
+	return s.slots[best]
+}
+
+// TestMultiServerMatchesLinearScan is the differential test for the
+// sorted-ring slot scheduler: for slot counts 1..30, request times that
+// jump backwards as well as forwards, varying service times and an
+// advancing kernel clock, every completion matches the linear-scan
+// reference.
+func TestMultiServerMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for m := 1; m <= 30; m++ {
+		k := New(1)
+		got := NewMultiServer(k, m)
+		ref := &scanMultiServer{k: k, slots: make([]Time, m)}
+		at := Time(0)
+		for i := 0; i < 2000; i++ {
+			switch rng.Intn(4) {
+			case 0: // non-monotone: step back
+				at -= Time(rng.Intn(500))
+				if at < 0 {
+					at = 0
+				}
+			case 1:
+				k.now += Time(rng.Intn(200))
+			default:
+				at += Time(rng.Intn(100))
+			}
+			d := Time(rng.Intn(300))
+			if rng.Intn(8) == 0 {
+				d = 0
+			}
+			if g, w := got.ScheduleAt(at, d), ref.ScheduleAt(at, d); g != w {
+				t.Fatalf("m=%d request %d (t=%v d=%v): ring %v, linear scan %v", m, i, at, d, g, w)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { got.ScheduleAt(at, 10) }); allocs != 0 {
+			t.Fatalf("m=%d: ScheduleAt allocated %.1f times per call", m, allocs)
+		}
+	}
+}
+
+// BenchmarkMultiServerScheduleAt measures one reservation on a
+// 24-slot server (the root-complex pipeline's slot count) under
+// non-decreasing request times; it must not allocate.
+func BenchmarkMultiServerScheduleAt(b *testing.B) {
+	k := New(1)
+	s := NewMultiServer(k, 24)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.ScheduleAt(Time(i)*Nanosecond, 24*Nanosecond)
 	}
 }

@@ -1,118 +1,38 @@
-// Conservative parallel simulation — design note.
+// Parallel simulation of independent islands — design note.
 //
-// A ParallelKernel advances its domains in windows: compute the global
-// next-event lower bound, let every domain run all events strictly
-// below bound+lookahead, then hold a barrier where cross-domain
-// messages staged on declared links are delivered in link-creation
-// order. Lookahead is the minimum declared link latency, so no message
-// staged during a window can land inside it — the windows are safe by
-// construction, and because staging and draining are pure functions of
-// simulation state, results are byte-identical at every worker count.
-// A single worker runs the identical window loop single-threaded; the
-// serial schedule is the reference the parallel one is defined against,
-// which is why goldens are always pinned from serial runs.
+// A ParallelKernel runs domains that share no simulation state: each
+// domain's kernel owns its heap, clock, sequence counter and random
+// source, and no event ever crosses from one domain to another. Each
+// domain therefore runs to completion on its own, and the result is a
+// pure function of the domain's own events — byte-identical at every
+// worker count, and identical to running the same events on one
+// shared kernel, whose (time, seq) order restricted to one domain's
+// events is that domain's own order.
 //
-// Coupled fabrics (the barrier-replay merge protocol). Endpoints that
-// share fabric state cannot free-run, but they can stage: each member
-// runs its workload control loop on its own domain and records the
-// packet pairs it would have issued, while all shared fabric state
-// binds to a hub domain whose heap stays empty (the root-complex model
-// is virtual-clock, not event-driven). At each barrier a Merger sorts
-// the staged pairs by (issue time, issuing context, stage index) —
-// the context is the virtual sequence number of the causally preceding
-// event, so the sort reproduces the serial kernel's (time, seq) FCFS
-// order exactly — replays them into the hub at their recorded times,
-// and Sends each completion back over the member's link. The link's
-// latency is a static lower bound on pair completion (wire, header
-// serialization and pipeline latencies), so replayed completions
-// always clear the conservative horizon.
+// Endpoints that do share state (a switch uplink, a socket's pipeline,
+// a buffer node's LLC, a global IOMMU) belong to one island and run on
+// one kernel, exactly as the serial build runs them; internal/topo
+// computes the islands. Parallelism is across islands only.
 //
 // Randomness. Workload streams are per-endpoint (seeded by endpoint
-// index) and live on the member domains, so they drain identically in
-// any schedule. Root-complex jitter is per-socket state: island 0
-// keeps its kernel's stream — preserving every golden pinned before
-// islands existed, so the "re-pin" that accompanied this design was a
-// documented no-op — while each further island draws from a stream
-// derived from the spec seed and island id (topo.islandSeed). Serial
-// builds install the same assignment, keeping jittery fabrics
-// byte-identical serial-vs-parallel. On a coupled island the hub's
-// jitter draws happen in replay order, which equals serial issue
-// order, so they too match the serial build draw for draw.
+// index), so they drain identically in any schedule. Root-complex
+// jitter is per-socket state: island 0 keeps its kernel's stream —
+// preserving every golden pinned before islands existed — while each
+// further island draws from a stream derived from the spec seed and
+// island id (topo.islandSeed). Serial builds install the same
+// assignment, keeping jittery fabrics byte-identical serial-vs-parallel.
 
 package sim
 
-import (
-	"fmt"
-	"math"
-	"sync"
-)
+import "sync"
 
-// maxTime is the largest representable simulated time, used as the
-// window horizon when no cross-domain link bounds execution.
-const maxTime = Time(math.MaxInt64)
-
-// Domain is one partition of a parallel simulation: an independent
-// Kernel (own heap, clock, sequence counter and random source) plus its
-// index in the ParallelKernel that coordinates it.
-type Domain struct {
-	ID     int
-	Kernel *Kernel
-}
-
-// pmsg is one staged cross-domain event.
-type pmsg struct {
-	at   Time
-	a, b int64
-	h    Handler
-}
-
-// plink is a directed (src,dst) channel between two domains. Messages
-// staged on it during a window are delivered into dst's kernel at the
-// window barrier, in staging order — so delivery order is a pure
-// function of the simulation, never of goroutine scheduling.
-type plink struct {
-	src, dst int
-	latency  Time
-	buf      []pmsg
-}
-
-// Merger is a deterministic barrier hook: at every window barrier the
-// coordinator invokes each registered merger, single-threaded and in
-// registration order, before draining the staged cross-domain
-// messages. A merger typically collects work its domains staged during
-// the window, orders it by simulation time (re-establishing the serial
-// schedule), replays it against shared state bound to a dedicated
-// domain, and Sends the outcomes back over declared links — the
-// coupled-fabric merge protocol internal/workload builds on.
-type Merger interface {
-	Merge(p *ParallelKernel)
-}
-
-// ParallelKernel runs several Kernels as one conservative
-// parallel-discrete-event simulation. Domains execute concurrently in
-// time windows: the coordinator computes the global lower bound (the
-// minimum next-event time across domains), and every domain safely
-// executes all events strictly below bound+lookahead, where lookahead
-// is the minimum latency of any cross-domain link — no message sent
-// during the window can arrive below that horizon. At the window
-// barrier, mergers run first (single-threaded, in registration order),
-// then staged messages are drained link by link in creation order and
-// delivered into the destination kernels, so sequence numbers — and
-// therefore (time,seq) tie-breaks — are identical at any worker
-// count.
+// ParallelKernel runs several independent Kernels to completion on a
+// bounded number of goroutines. Domains exchange no events, so the
+// goroutine a domain runs on never affects its results.
 //
-// Domains with no links at all (the island-partitioned fabric case)
-// free-run to completion in a single window.
-//
-// A ParallelKernel is not safe for concurrent use by multiple
-// callers; Send may only be called from a handler executing on the
-// sending domain's kernel during Run, or from a Merger at the barrier.
+// A ParallelKernel is not safe for concurrent use by multiple callers.
 type ParallelKernel struct {
-	domains   []*Kernel
-	links     []plink
-	linkIdx   map[[2]int]int
-	lookahead Time // min link latency; maxTime when no links
-	mergers   []Merger
+	domains []*Kernel
 }
 
 // NewParallel builds a coordinator over the given kernels; kernels[i]
@@ -121,181 +41,33 @@ func NewParallel(kernels []*Kernel) *ParallelKernel {
 	if len(kernels) == 0 {
 		panic("sim: NewParallel needs at least one domain")
 	}
-	return &ParallelKernel{
-		domains:   kernels,
-		linkIdx:   make(map[[2]int]int),
-		lookahead: maxTime,
-	}
+	return &ParallelKernel{domains: kernels}
 }
 
-// Domains returns the number of domains.
-func (p *ParallelKernel) Domains() int { return len(p.domains) }
-
-// Domain returns domain i.
-func (p *ParallelKernel) Domain(i int) Domain { return Domain{ID: i, Kernel: p.domains[i]} }
-
-// Lookahead returns the conservative window width: the minimum latency
-// over all links, or the maximum time when no links exist.
-func (p *ParallelKernel) Lookahead() Time { return p.lookahead }
-
-// Connect declares a directed communication channel from domain src to
-// domain dst with the given minimum propagation latency (>= 1 ps; the
-// link/switch wire and forwarding delays of a PCIe fabric). Every
-// cross-domain event must flow through a declared link via Send.
-// Declaring a link shrinks the lookahead to the smallest latency.
-func (p *ParallelKernel) Connect(src, dst int, latency Time) {
-	if src < 0 || src >= len(p.domains) || dst < 0 || dst >= len(p.domains) {
-		panic(fmt.Sprintf("sim: link %d->%d outside %d domains", src, dst, len(p.domains)))
-	}
-	if src == dst {
-		panic("sim: a domain needs no link to itself")
-	}
-	if latency < Picosecond {
-		panic(fmt.Sprintf("sim: link %d->%d latency %v must be >= 1ps", src, dst, latency))
-	}
-	key := [2]int{src, dst}
-	if _, dup := p.linkIdx[key]; dup {
-		panic(fmt.Sprintf("sim: link %d->%d already declared", src, dst))
-	}
-	p.linkIdx[key] = len(p.links)
-	p.links = append(p.links, plink{src: src, dst: dst, latency: latency})
-	if latency < p.lookahead {
-		p.lookahead = latency
-	}
-}
-
-// Send stages h.Handle(dstKernel, a, b) at absolute time at in domain
-// dst, from a handler currently executing on domain src. The
-// destination sees it after the current window's barrier. at must
-// respect the link's declared latency (at >= src.Now()+latency);
-// violating it would break the conservative horizon and panics.
-func (p *ParallelKernel) Send(src, dst int, at Time, h Handler, a, b int64) {
-	idx, ok := p.linkIdx[[2]int{src, dst}]
-	if !ok {
-		panic(fmt.Sprintf("sim: send on undeclared link %d->%d", src, dst))
-	}
-	l := &p.links[idx]
-	if min := p.domains[src].now + l.latency; at < min {
-		panic(fmt.Sprintf("sim: send on link %d->%d at %v violates latency %v (now %v)",
-			src, dst, at, l.latency, p.domains[src].now))
-	}
-	l.buf = append(l.buf, pmsg{at: at, a: a, b: b, h: h})
-}
-
-// AddMerger registers a barrier hook. Mergers run single-threaded at
-// every window barrier, in registration order, before staged messages
-// are drained — so everything a merger Sends is delivered in the same
-// barrier. Registration order is part of the deterministic schedule;
-// callers must register mergers in a fixed order (topo registers one
-// per coupled island, ascending).
-func (p *ParallelKernel) AddMerger(m Merger) {
-	p.mergers = append(p.mergers, m)
-}
-
-// minNext returns the global lower bound on the next event time across
-// all domains, or false when every queue is empty.
-func (p *ParallelKernel) minNext() (Time, bool) {
-	bound := maxTime
-	any := false
-	for _, k := range p.domains {
-		if t, ok := k.NextEventTime(); ok {
-			any = true
-			if t < bound {
-				bound = t
-			}
-		}
-	}
-	return bound, any
-}
-
-// drain delivers every staged message into its destination kernel, link
-// by link in creation order and in staging order within a link. The
-// coordinator calls it single-threaded at the window barrier, so
-// destination sequence numbers are deterministic. Reports whether any
-// message was delivered.
-func (p *ParallelKernel) drain() bool {
-	delivered := false
-	for i := range p.links {
-		l := &p.links[i]
-		if len(l.buf) == 0 {
-			continue
-		}
-		dst := p.domains[l.dst]
-		for _, m := range l.buf {
-			dst.AtEvent(m.at, m.h, m.a, m.b)
-		}
-		l.buf = l.buf[:0]
-		delivered = true
-	}
-	return delivered
-}
-
-// mergeAndDrain runs the barrier: mergers first (they may stage more
-// messages), then the drain. Reports whether any message was delivered.
-func (p *ParallelKernel) mergeAndDrain() bool {
-	for _, m := range p.mergers {
-		m.Merge(p)
-	}
-	return p.drain()
-}
-
-// runWindow executes every domain up to (but excluding) horizon, on up
-// to workers goroutines. A horizon of maxTime runs each domain to
-// completion (the no-links fast path).
-func (p *ParallelKernel) runWindow(horizon Time, workers int) {
-	run := func(k *Kernel) {
-		if horizon == maxTime {
-			k.Run()
-		} else {
-			k.RunBefore(horizon)
-		}
-	}
-	if workers <= 1 || len(p.domains) == 1 {
-		for _, k := range p.domains {
-			run(k)
-		}
-		return
-	}
+// Run executes every domain to completion on up to workers goroutines
+// (<= 1 runs them one after another in domain order) and returns the
+// latest domain clock. Domains are assigned to goroutines statically,
+// round-robin.
+func (p *ParallelKernel) Run(workers int) Time {
 	if workers > len(p.domains) {
 		workers = len(p.domains)
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			// Static round-robin assignment: which goroutine runs a
-			// domain never affects results, only wall-clock balance.
-			for i := w; i < len(p.domains); i += workers {
-				run(p.domains[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// Run executes the parallel simulation to completion on up to workers
-// goroutines (<= 1 runs the window loop single-threaded, which is the
-// reference schedule — results are byte-identical for every worker
-// count). It returns the latest domain clock.
-func (p *ParallelKernel) Run(workers int) Time {
-	for {
-		bound, ok := p.minNext()
-		if !ok {
-			// Every heap is empty, but a merger may still hold staged
-			// work (coupled-fabric replay); only stop once a barrier
-			// delivers nothing.
-			if !p.mergeAndDrain() {
-				break
-			}
-			continue
+	if workers <= 1 {
+		for _, k := range p.domains {
+			k.Run()
 		}
-		horizon := maxTime
-		if p.lookahead < maxTime-bound {
-			horizon = bound + p.lookahead
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(p.domains); i += workers {
+					p.domains[i].Run()
+				}
+			}(w)
 		}
-		p.runWindow(horizon, workers)
-		p.mergeAndDrain()
+		wg.Wait()
 	}
 	end := Time(0)
 	for _, k := range p.domains {

@@ -126,21 +126,13 @@ func TestPropertyReplayIdentical(t *testing.T) {
 	}
 }
 
-// randNet is a randomized communicating-domain model for the parallel
-// kernel: a random directed link topology with random latencies, random
-// initial event bursts, and handlers that forward state-mixing messages
-// over random outgoing links. Every observable (per-domain event trace,
-// state sums, executed counts, final clocks) is returned for comparison.
-type randNet struct {
-	pk    *ParallelKernel
-	nodes []*randNode
-}
-
+// randNet is a randomized multi-domain model for the parallel kernel:
+// random domain sizes, random initial event bursts at colliding times,
+// and handlers that mix state and schedule a follow-up on a random node
+// of their own domain after a random delay. Every observable (per-node
+// event trace, state sums, final clocks) is returned for comparison.
 type randNode struct {
-	net   *randNet
-	id    int
-	out   []int // destination domain ids with declared links
-	lat   []Time
+	peers []*randNode // the nodes of this node's domain, itself included
 	rng   *rand.Rand
 	hops  int
 	trace []Time
@@ -150,59 +142,58 @@ type randNode struct {
 func (n *randNode) Handle(k *Kernel, a, b int64) {
 	n.trace = append(n.trace, k.Now())
 	n.sum = n.sum*131 + a*7 + b
-	if n.hops <= 0 || len(n.out) == 0 {
+	if n.hops <= 0 {
 		return
 	}
 	n.hops--
-	// The choice of link draws from the node's own deterministic rng,
-	// in event-execution order — identical across worker counts if and
-	// only if the window schedule is.
-	i := n.rng.Intn(len(n.out))
-	dst := n.out[i]
-	at := k.Now() + n.lat[i] + Time(n.rng.Intn(30))*Nanosecond
-	n.net.pk.Send(n.id, dst, at, n.net.nodes[dst], n.sum, int64(n.id))
+	// The follow-up draws from the node's own rng in event-execution
+	// order — identical across schedules if and only if each domain's
+	// event order is.
+	dst := n.peers[n.rng.Intn(len(n.peers))]
+	k.AfterEvent(Time(n.rng.Intn(30))*Nanosecond, dst, n.sum, int64(len(n.trace)))
 }
 
 // runRandNet builds and runs one randomized model; the construction is
-// a pure function of (domains, seed), so runs differ only in workers.
-func runRandNet(domains, workers int, seed int64) ([][]Time, []int64, []Time) {
+// a pure function of (domains, seed). With shared set, every domain's
+// events go onto one kernel — the serial build — instead of a kernel
+// per domain run on workers goroutines.
+func runRandNet(domains, workers int, seed int64, shared bool) ([][]Time, []int64, []Time) {
 	rng := rand.New(rand.NewSource(seed))
 	kernels := make([]*Kernel, domains)
 	for i := range kernels {
-		kernels[i] = New(seed*100 + int64(i))
+		if shared && i > 0 {
+			kernels[i] = kernels[0]
+		} else {
+			kernels[i] = New(seed*100 + int64(i))
+		}
 	}
-	pk := NewParallel(kernels)
-	net := &randNet{pk: pk}
-	for i := 0; i < domains; i++ {
-		net.nodes = append(net.nodes, &randNode{
-			net: net, id: i, rng: rand.New(rand.NewSource(seed*1000 + int64(i))),
-			hops: 20 + rng.Intn(40),
-		})
-	}
-	// Random sparse link topology; latencies span a wide range so the
-	// lookahead window is set by the shortest one.
-	for src := 0; src < domains; src++ {
-		for dst := 0; dst < domains; dst++ {
-			if src == dst || rng.Intn(3) != 0 {
-				continue
+	var nodes []*randNode
+	for d := 0; d < domains; d++ {
+		var peers []*randNode
+		for j := 0; j < 1+rng.Intn(3); j++ {
+			n := &randNode{
+				rng:  rand.New(rand.NewSource(seed*1000 + int64(len(nodes)))),
+				hops: 20 + rng.Intn(40),
 			}
-			lat := Time(10+rng.Intn(500)) * Nanosecond
-			pk.Connect(src, dst, lat)
-			n := net.nodes[src]
-			n.out = append(n.out, dst)
-			n.lat = append(n.lat, lat)
+			peers = append(peers, n)
+			nodes = append(nodes, n)
+		}
+		for _, n := range peers {
+			n.peers = peers
+			for e := 0; e < 1+rng.Intn(4); e++ {
+				kernels[d].AtEvent(Time(rng.Intn(40))*Nanosecond, n, int64(e), int64(d))
+			}
 		}
 	}
-	for i, n := range net.nodes {
-		for e := 0; e < 1+rng.Intn(4); e++ {
-			kernels[i].AtEvent(Time(rng.Intn(40))*Nanosecond, n, int64(e), int64(i))
-		}
+	if shared {
+		kernels[0].Run()
+	} else {
+		NewParallel(kernels).Run(workers)
 	}
-	pk.Run(workers)
 	var traces [][]Time
 	var sums []int64
 	var clocks []Time
-	for _, n := range net.nodes {
+	for _, n := range nodes {
 		traces = append(traces, n.trace)
 		sums = append(sums, n.sum)
 	}
@@ -212,14 +203,14 @@ func runRandNet(domains, workers int, seed int64) ([][]Time, []int64, []Time) {
 	return traces, sums, clocks
 }
 
-// Property: randomized multi-domain topologies, seeds and lookahead
-// windows produce byte-identical traces under the parallel kernel at
-// P = 1, 2, 4 and 7 workers.
+// Property: randomized multi-domain models produce byte-identical
+// traces under the parallel kernel at P = 1, 2, 4 and 7 workers, and
+// the same per-node traces as one shared kernel running every domain.
 func TestPropertyParallelWorkerCountInvariance(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(4000 + trial)
 		domains := 2 + trial%6
-		refTraces, refSums, refClocks := runRandNet(domains, 1, seed)
+		refTraces, refSums, refClocks := runRandNet(domains, 1, seed, false)
 		total := 0
 		for _, tr := range refTraces {
 			total += len(tr)
@@ -228,12 +219,16 @@ func TestPropertyParallelWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("trial %d: model executed nothing", trial)
 		}
 		for _, workers := range []int{2, 4, 7} {
-			traces, sums, clocks := runRandNet(domains, workers, seed)
+			traces, sums, clocks := runRandNet(domains, workers, seed, false)
 			if !reflect.DeepEqual(refTraces, traces) ||
 				!reflect.DeepEqual(refSums, sums) ||
 				!reflect.DeepEqual(refClocks, clocks) {
-				t.Fatalf("trial %d: workers=%d diverged from the serial window schedule", trial, workers)
+				t.Fatalf("trial %d: workers=%d diverged from the single-worker run", trial, workers)
 			}
+		}
+		traces, sums, _ := runRandNet(domains, 1, seed, true)
+		if !reflect.DeepEqual(refTraces, traces) || !reflect.DeepEqual(refSums, sums) {
+			t.Fatalf("trial %d: per-domain kernels diverged from one shared kernel", trial)
 		}
 	}
 }

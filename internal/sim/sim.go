@@ -26,19 +26,12 @@
 //
 // # Parallel domains
 //
-// ParallelKernel coordinates several Kernels as one conservative
-// parallel simulation (parallel.go). Each domain keeps the (time,seq)
-// FIFO semantics of its own heap; the coordinator advances all domains
-// in time windows of width lookahead — the minimum propagation latency
-// of any declared cross-domain link — so a domain can execute every
-// event strictly below the window horizon before any message from a
-// peer could arrive. Cross-domain events flow through per-(src,dst)
-// ordered channels staged during the window and delivered at the
-// barrier in a fixed link order, which makes destination sequence
-// numbers — and therefore all tie-breaks and results — a pure function
-// of the simulation, byte-identical at any worker count. Domains with
-// no links (independent islands of a partitioned PCIe fabric) free-run
-// to completion in a single window with zero coordination overhead.
+// ParallelKernel runs several independent Kernels — the islands of a
+// partitioned PCIe fabric, which share no simulation state — to
+// completion on a bounded number of goroutines (parallel.go). Each
+// domain keeps the (time,seq) FIFO semantics of its own heap and no
+// event crosses domains, so results are byte-identical at any worker
+// count.
 package sim
 
 import (
@@ -250,29 +243,6 @@ func (k *Kernel) RunUntil(t Time) {
 	}
 }
 
-// RunBefore executes events with timestamps strictly below t and leaves
-// the clock at the last executed event. Events at or beyond t remain
-// queued. This is the conservative-window primitive of ParallelKernel:
-// a domain may safely run everything below the window horizon, because
-// no cross-domain message can arrive earlier.
-func (k *Kernel) RunBefore(t Time) {
-	for len(k.events) > 0 && k.events[0].at < t {
-		e := k.pop()
-		k.now = e.at
-		k.Executed++
-		e.h.Handle(k, e.a, e.b)
-	}
-}
-
-// NextEventTime returns the timestamp of the earliest queued event, or
-// false when the queue is empty.
-func (k *Kernel) NextEventTime() (Time, bool) {
-	if len(k.events) == 0 {
-		return 0, false
-	}
-	return k.events[0].at, true
-}
-
 // Pending returns the number of queued events.
 func (k *Kernel) Pending() int { return len(k.events) }
 
@@ -333,9 +303,18 @@ func (s *Server) Utilization() float64 {
 // service concurrently, further requests wait for the earliest free
 // slot. It models resources with internal parallelism — IOMMU page
 // walkers, root-complex pipeline slots, DRAM banks.
+//
+// Only the multiset of slot free times is observable, so the slots are
+// kept as a ring sorted ascending from head: the earliest free slot is
+// always slots[head], and a reservation's new free time re-enters at
+// the back and shifts toward the front past later ones. When the new
+// time is the latest — non-decreasing starts with equal service times,
+// the common case — no shift happens, so a reservation costs O(1)
+// whatever the slot count.
 type MultiServer struct {
 	k     *Kernel
-	slots []Time
+	slots []Time // free times, ascending from head (ring order)
+	head  int
 	busy  Time
 }
 
@@ -355,24 +334,36 @@ func (s *MultiServer) Schedule(d Time) Time {
 
 // ScheduleAt reserves d of service starting no earlier than t.
 func (s *MultiServer) ScheduleAt(t Time, d Time) Time {
-	// Direct min-scan for the earliest-free slot.
-	best := 0
-	bestFree := s.slots[0]
-	for i := 1; i < len(s.slots); i++ {
-		if s.slots[i] < bestFree {
-			best, bestFree = i, s.slots[i]
-		}
-	}
 	start := t
 	if s.k.now > start {
 		start = s.k.now
 	}
-	if bestFree > start {
-		start = bestFree
+	if f := s.slots[s.head]; f > start {
+		start = f
 	}
-	s.slots[best] = start + d
+	end := start + d
 	s.busy += d
-	return s.slots[best]
+	// The earliest slot leaves the front; its physical cell becomes the
+	// back of the ring, and end shifts forward past any later free
+	// times (at most m-1 of them).
+	n := len(s.slots)
+	i := s.head
+	if s.head++; s.head == n {
+		s.head = 0
+	}
+	for shifts := 1; shifts < n; shifts++ {
+		j := i - 1
+		if j < 0 {
+			j = n - 1
+		}
+		if s.slots[j] <= end {
+			break
+		}
+		s.slots[i] = s.slots[j]
+		i = j
+	}
+	s.slots[i] = end
+	return end
 }
 
 // Slots returns the number of parallel servers.

@@ -32,7 +32,7 @@ type CLI struct {
 	Format string
 	// Workers is the per-run worker pool size (0 = GOMAXPROCS).
 	Workers int
-	// SimWorkers is the conservative-parallel simulation budget applied
+	// SimWorkers is the island-parallel simulation budget applied
 	// to each multi-endpoint workload fabric cell (<= 1 = serial).
 	// Results are byte-identical at every value.
 	SimWorkers int

@@ -203,7 +203,7 @@ type Options struct {
 	// the paper's setup). Used by the Gen4 projection experiments the
 	// paper's §6 anticipates.
 	Link *pcie.LinkConfig
-	// SimWorkers asks for a conservative-parallel fabric on up to this
+	// SimWorkers asks for an island-parallel fabric on up to this
 	// many worker goroutines (<= 1 builds serially). Results are
 	// byte-identical at every value; parallelism only materializes when
 	// the topology splits into independent endpoint islands.

@@ -39,12 +39,12 @@ func coupledFabric(t *testing.T, endpoints int, sw bool, jitter bool, simWorkers
 	return fab
 }
 
-// TestCoupledFabricByteIdentical is the tentpole contract for coupled
+// TestCoupledFabricByteIdentical is the contract for coupled
 // topologies: an 8-endpoint fabric sharing a switch (and one sharing a
-// socket) reproduces the serial build's workload results byte for byte
-// at every worker count, with the traffic flowing through windowed
-// channels and barrier replay instead of one collapsed island. The
-// worker-4 result is additionally pinned to a committed golden.
+// socket) forms one island that runs every endpoint on one kernel, and
+// reproduces the serial build's workload results byte for byte at
+// every worker count. The serial result is additionally pinned to a
+// committed golden.
 // Regenerate with `go test ./internal/topo -run CoupledFabricByteIdentical -update`.
 func TestCoupledFabricByteIdentical(t *testing.T) {
 	cases := []struct {
@@ -68,12 +68,7 @@ func TestCoupledFabricByteIdentical(t *testing.T) {
 			}
 			for _, w := range []int{2, 4, 7} {
 				fab := coupledFabric(t, 8, tc.sw, false, w)
-				if !fab.Parallel() || len(fab.Coupled) != 1 || len(fab.Coupled[0].Endpoints) != 8 {
-					t.Fatalf("simworkers=%d: want one coupled island of 8, got %+v", w, fab.Coupled)
-				}
-				if fab.Coupled[0].Lookahead < sim.Picosecond {
-					t.Fatalf("lookahead %v below the channel floor", fab.Coupled[0].Lookahead)
-				}
+				requireIslands(t, fab, oneIsland(8))
 				res, err := topo.RunWorkload(fab, cfg, 200)
 				if err != nil {
 					t.Fatal(err)
@@ -106,7 +101,7 @@ func TestCoupledFabricByteIdentical(t *testing.T) {
 
 // TestJitteryFabricByteIdentical pins the per-island jitter streams:
 // with the root-complex jitter model enabled, coupled fabrics (island
-// 0 keeps the kernel stream, drawn in replay order) and split fabrics
+// 0 keeps the kernel stream, drawn in serial order) and split fabrics
 // (islands beyond the first draw derived streams) still reproduce the
 // serial build byte for byte at every worker count.
 func TestJitteryFabricByteIdentical(t *testing.T) {
@@ -120,9 +115,7 @@ func TestJitteryFabricByteIdentical(t *testing.T) {
 		}
 		for _, w := range []int{2, 4, 7} {
 			fab := coupledFabric(t, 4, true, true, w)
-			if !fab.Parallel() || len(fab.Coupled) != 1 {
-				t.Fatalf("simworkers=%d: jittery switched fabric did not couple-build", w)
-			}
+			requireIslands(t, fab, oneIsland(4))
 			res, err := topo.RunWorkload(fab, cfg, 150)
 			if err != nil {
 				t.Fatal(err)
@@ -154,9 +147,7 @@ func TestJitteryFabricByteIdentical(t *testing.T) {
 		}
 		for _, w := range []int{2, 4, 7} {
 			fab := build(w)
-			if !fab.Parallel() || len(fab.Islands) != 2 {
-				t.Fatalf("simworkers=%d: jittery split fabric did not partition", w)
-			}
+			requireIslands(t, fab, splitIslands(4))
 			res, err := topo.RunWorkload(fab, cfg, 150)
 			if err != nil {
 				t.Fatal(err)
@@ -196,9 +187,7 @@ func TestPropertyCoupledInvariance(t *testing.T) {
 		}
 		for _, w := range []int{2, 4, 7} {
 			fab := coupledFabric(t, endpoints, sw, jitter, w)
-			if !fab.Parallel() || len(fab.Coupled) != 1 {
-				t.Fatalf("%s: simworkers=%d did not couple-build", label, w)
-			}
+			requireIslands(t, fab, oneIsland(endpoints))
 			res, err := topo.RunWorkload(fab, cfg, pairs)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -213,8 +202,8 @@ func TestPropertyCoupledInvariance(t *testing.T) {
 // TestPeersCoupling pins the declared-P2P bugfix: naming a peer pair in
 // Spec.Peers pulls both endpoints into one island, so their BAR traffic
 // routes inside one address map instead of hitting the runtime
-// "crosses simulation domains" refusal — while the fabric still builds
-// in parallel form.
+// "crosses simulation domains" refusal; the pair then builds as one
+// island on one kernel.
 func TestPeersCoupling(t *testing.T) {
 	spec := func(peers [][2]int) topo.Spec {
 		sys, err := sysconf.ByName("NFP6000-BDW")
@@ -239,9 +228,7 @@ func TestPeersCoupling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fab.Islands) != 2 {
-		t.Fatalf("islands %v, want two singletons", fab.Islands)
-	}
+	requireIslands(t, fab, [][]int{{0}, {1}})
 	addr, err := fab.BARAddr(1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -251,19 +238,13 @@ func TestPeersCoupling(t *testing.T) {
 		t.Fatalf("undeclared peer write: err %v, want a domain-crossing rejection", err)
 	}
 
-	// Declaring the pair couples them: one island, one hub, and the
+	// Declaring the pair couples them: one island, one kernel, and the
 	// peer write goes through.
 	fab, err = topo.Build(spec([][2]int{{0, 1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fab.Islands) != 1 || len(fab.Coupled) != 1 ||
-		!reflect.DeepEqual(fab.Coupled[0].Endpoints, []int{0, 1}) {
-		t.Fatalf("peered fabric: islands %v coupled %+v, want one coupled island {0,1}", fab.Islands, fab.Coupled)
-	}
-	if !fab.Parallel() {
-		t.Fatal("peered fabric lost its parallel build")
-	}
+	requireIslands(t, fab, oneIsland(2))
 	addr, err = fab.BARAddr(1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -313,9 +294,7 @@ func TestJitterDoesNotSerialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fab.Parallel() || len(fab.Islands) != 2 {
-		t.Fatalf("jitter on an unused socket serialized the fabric: islands %v", fab.Islands)
-	}
+	requireIslands(t, fab, [][]int{{0}, {1}})
 
 	// Jitter everywhere plus an explicit non-shared interconnect model:
 	// islands own their streams, so this partitions too.
@@ -327,7 +306,5 @@ func TestJitterDoesNotSerialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fab.Parallel() || len(fab.Islands) != 2 {
-		t.Fatalf("jittery non-shared-interconnect fabric serialized: islands %v", fab.Islands)
-	}
+	requireIslands(t, fab, [][]int{{0}, {1}})
 }

@@ -51,11 +51,11 @@ func iommuStats(f *topo.Fabric) [3]uint64 {
 	return s
 }
 
-// TestIOMMUFabricWorkerIdentity is the tentpole determinism property
-// for translated fabrics: under both unit scopes — per-socket DRHD
-// units riding their island's kernel, and one global unit bound to the
-// hub — jittery, fault-injected workload runs are byte-identical at
-// every worker count, translation counters included.
+// TestIOMMUFabricWorkerIdentity is the determinism property for
+// translated fabrics: under both unit scopes — per-socket DRHD units
+// riding their island's kernel, and one global unit coupling every
+// endpoint into one island — jittery, fault-injected workload runs are
+// byte-identical at every worker count, translation counters included.
 func TestIOMMUFabricWorkerIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1009))
 	trials := 4
@@ -82,11 +82,13 @@ func TestIOMMUFabricWorkerIdentity(t *testing.T) {
 					t.Fatal(err)
 				}
 				refStats := iommuStats(serial)
+				want := splitIslands(endpoints)
+				if scope == topo.IOMMUScopeGlobal {
+					want = oneIsland(endpoints)
+				}
 				for _, w := range []int{2, 4, 7} {
 					fab := iommuFabric(t, endpoints, w, scope, fc)
-					if !fab.Parallel() {
-						t.Fatalf("workers=%d: translated fabric stayed serial", w)
-					}
+					requireIslands(t, fab, want)
 					res, err := topo.RunWorkload(fab, cfg, pairs)
 					if err != nil {
 						t.Fatal(err)
@@ -139,8 +141,8 @@ func TestIOMMUGoldenSplit(t *testing.T) {
 	iommuGolden(t, topo.IOMMUScopePerSocket, "iommu_split.golden.json")
 }
 
-// TestIOMMUGoldenShared pins the global-scope run: one shared unit
-// bound to the hub kernel of the single coupled island.
+// TestIOMMUGoldenShared pins the global-scope run: one shared unit on
+// the kernel of the single island.
 func TestIOMMUGoldenShared(t *testing.T) {
 	iommuGolden(t, topo.IOMMUScopeGlobal, "iommu_shared.golden.json")
 }

@@ -37,6 +37,53 @@ func splitFabric(t *testing.T, endpoints, simWorkers int) *topo.Fabric {
 	return fab
 }
 
+// oneIsland lists endpoints 0..n-1 as a single island.
+func oneIsland(n int) [][]int {
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return [][]int{all}
+}
+
+// splitIslands lists the islands of an n-endpoint split-socket shape:
+// even endpoints on socket 0, odd ones on socket 1.
+func splitIslands(n int) [][]int {
+	isl := [][]int{nil, nil}
+	for i := 0; i < n; i++ {
+		isl[i%2] = append(isl[i%2], i)
+	}
+	return isl
+}
+
+// requireIslands asserts a fabric's partition: exactly the islands
+// want, each with a kernel and router of its own that every endpoint of
+// the island runs on.
+func requireIslands(t *testing.T, fab *topo.Fabric, want [][]int) {
+	t.Helper()
+	if !reflect.DeepEqual(fab.Islands, want) {
+		t.Fatalf("islands %v, want %v", fab.Islands, want)
+	}
+	if len(fab.Kernels) != len(want) || len(fab.Routers) != len(want) {
+		t.Fatalf("%d kernels and %d routers for %d islands", len(fab.Kernels), len(fab.Routers), len(want))
+	}
+	distinct := map[*sim.Kernel]bool{}
+	for d, isl := range want {
+		distinct[fab.Kernels[d]] = true
+		for _, i := range isl {
+			if fab.EndpointKernel(i) != fab.Kernels[d] {
+				t.Fatalf("endpoint %d does not run on island %d's kernel", i, d)
+			}
+		}
+	}
+	if len(distinct) != len(want) {
+		t.Fatalf("%d islands share %d kernels", len(want), len(distinct))
+	}
+	if fab.Parallel() != (len(want) > 1) {
+		t.Fatalf("Parallel() = %v with %d islands", fab.Parallel(), len(want))
+	}
+}
+
 // TestParallelFabricByteIdentical is the headline tentpole contract: a
 // partitioned fabric reproduces the serial build's workload results
 // byte for byte at every worker count.
@@ -52,28 +99,9 @@ func TestParallelFabricByteIdentical(t *testing.T) {
 	}
 	for _, w := range []int{2, 4, 7} {
 		fab := splitFabric(t, 4, w)
-		if !fab.Parallel() {
-			t.Fatalf("simworkers=%d did not partition the split fabric", w)
-		}
-		want := [][]int{{0, 2}, {1, 3}}
-		if !reflect.DeepEqual(fab.Islands, want) {
-			t.Fatalf("islands %v, want %v", fab.Islands, want)
-		}
-		// Each island holds two endpoints coupled by a shared socket, so
-		// the linked build gives every member its own kernel and routes
-		// the shared fabric through a hub per island.
-		if len(fab.Coupled) != 2 ||
-			!reflect.DeepEqual(fab.Coupled[0].Endpoints, []int{0, 2}) ||
-			!reflect.DeepEqual(fab.Coupled[1].Endpoints, []int{1, 3}) {
-			t.Fatalf("coupled groups %+v, want islands {0,2} and {1,3}", fab.Coupled)
-		}
-		kset := map[*sim.Kernel]bool{}
-		for i := range fab.Endpoints {
-			kset[fab.EndpointKernel(i)] = true
-		}
-		if len(kset) != len(fab.Endpoints) {
-			t.Fatalf("coupled members share kernels: %d distinct of %d", len(kset), len(fab.Endpoints))
-		}
+		// Each island holds two endpoints coupled by a shared socket;
+		// both run on their island's one kernel.
+		requireIslands(t, fab, [][]int{{0, 2}, {1, 3}})
 		res, err := topo.RunWorkload(fab, cfg, 400)
 		if err != nil {
 			t.Fatal(err)
@@ -251,12 +279,12 @@ func TestParallelFabricRejectsCrossDomainTraffic(t *testing.T) {
 	}
 }
 
-// TestParallelFallbacks pins the partitioning policy edges: a
-// single-endpoint shape has nothing to split and stays serial — while
-// jitter, shared buffer nodes, shared switches and IOMMU translation
-// no longer force a serial build (jitter draws a per-island stream;
-// coupled islands replay through a hub; a global-scope IOMMU binds to
-// the hub while per-socket units ride their socket's island).
+// TestParallelFallbacks pins the partitioning policy edges: a shape
+// that forms a single island — one endpoint, or endpoints coupled by a
+// global-scope IOMMU, a shared buffer node or a shared switch — builds
+// serially on one kernel, while jitter and per-socket IOMMU units do
+// not stop a split shape from partitioning (jitter draws a per-island
+// stream; per-socket units ride their socket's island).
 func TestParallelFallbacks(t *testing.T) {
 	sys, err := sysconf.ByName("NFP6000-BDW")
 	if err != nil {
@@ -272,37 +300,23 @@ func TestParallelFallbacks(t *testing.T) {
 	}
 	shape := topo.Shape{Endpoints: 4, Placement: "split", LocalBuffers: true}
 	// A global-scope IOMMU sits on every DMA path: everyone couples into
-	// one island, which still parallelizes through the hub.
-	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true, IOMMU: true, BufferSize: 1 << 20}, shape); !fab.Parallel() || len(fab.Coupled) != 1 {
-		t.Error("global-scope IOMMU fabric did not build one coupled island")
-	} else if got := len(fab.Coupled[0].Endpoints); got != 4 {
-		t.Errorf("global-scope IOMMU coupled group holds %d endpoints, want 4", got)
-	}
+	// one island on one kernel.
+	requireIslands(t, build(sysconf.Options{SimWorkers: 4, NoJitter: true, IOMMU: true, BufferSize: 1 << 20}, shape), oneIsland(4))
 	// Per-socket units add no coupling of their own: the split shape
 	// partitions along sockets exactly as it does without an IOMMU.
 	perSock := sysconf.Options{SimWorkers: 4, NoJitter: true, IOMMU: true,
 		IOMMUScope: topo.IOMMUScopePerSocket, BufferSize: 1 << 20}
-	if fab := build(perSock, shape); !reflect.DeepEqual(fab.Islands, [][]int{{0, 2}, {1, 3}}) {
-		t.Errorf("per-socket IOMMU islands %v, want {0,2} and {1,3}", fab.Islands)
-	} else if got := len(fab.IOMMUUnits()); got != 2 {
+	fab := build(perSock, shape)
+	requireIslands(t, fab, splitIslands(4))
+	if got := len(fab.IOMMUUnits()); got != 2 {
 		t.Errorf("per-socket IOMMU fabric has %d units, want one per socket (2)", got)
 	}
-	if fab := build(sysconf.Options{SimWorkers: 4, BufferSize: 1 << 20}, shape); !fab.Parallel() {
-		t.Error("jittery split fabric stayed serial; each island owns its jitter stream")
-	}
-	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true}, topo.Shape{}); fab.Parallel() {
-		t.Error("single-endpoint fabric partitioned")
-	}
-	// Shared buffer node couples everything into one island — which the
-	// linked build still parallelizes, replaying through a hub.
+	requireIslands(t, build(sysconf.Options{SimWorkers: 4, BufferSize: 1 << 20}, shape), splitIslands(4))
+	requireIslands(t, build(sysconf.Options{SimWorkers: 4, NoJitter: true}, topo.Shape{}), oneIsland(1))
+	// Shared buffer node couples everything into one island.
 	noLocal := topo.Shape{Endpoints: 4, Placement: "split"}
-	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true, BufferSize: 1 << 20}, noLocal); !fab.Parallel() || len(fab.Coupled) != 1 {
-		t.Error("shared-buffer-node fabric did not build one coupled island")
-	}
-	// A switch funnels everyone through one uplink: one island, one hub.
-	sw := shapeLink()
-	swShape := topo.Shape{Endpoints: 4, Switch: sw, LocalBuffers: true}
-	if fab := build(sysconf.Options{SimWorkers: 4, NoJitter: true, BufferSize: 1 << 20}, swShape); !fab.Parallel() || len(fab.Coupled) != 1 {
-		t.Error("switched fabric did not build one coupled island")
-	}
+	requireIslands(t, build(sysconf.Options{SimWorkers: 4, NoJitter: true, BufferSize: 1 << 20}, noLocal), oneIsland(4))
+	// A switch funnels everyone through one uplink: one island.
+	swShape := topo.Shape{Endpoints: 4, Switch: shapeLink(), LocalBuffers: true}
+	requireIslands(t, build(sysconf.Options{SimWorkers: 4, NoJitter: true, BufferSize: 1 << 20}, swShape), oneIsland(4))
 }

@@ -2,7 +2,7 @@ package topo
 
 import "math/rand"
 
-// This file computes the conservative-parallel partition of a Spec:
+// This file computes the parallel partition of a Spec:
 // which endpoints can run on independent event kernels with results
 // byte-identical to the single-kernel build.
 //
@@ -26,17 +26,15 @@ import "math/rand"
 //     are owned by their ingress socket, which the same-socket rule
 //     already couples, so they add no edges of their own.
 //
-// A multi-endpoint island no longer forces a serial build: its
-// endpoints get their own event kernels, the shared fabric state binds
-// to a hub kernel, and traffic replays through the hub at window
-// barriers in serial order (see buildLinked and workload's merge
-// protocol). IOMMU state rides the same protocol — the unit binds to
-// the kernel of the island owning it, and since every Translate on a
-// coupled fabric happens during hub replay, TLB fills, LRU touches and
-// walker occupancy evolve in exactly the serial schedule. Root-complex
-// jitter does not serialize anything either — each island's sockets
-// sample a dedicated random stream keyed by island id (islandRNG), so
-// islands consume no shared randomness.
+// Endpoints of one island run on one event kernel, the island's own,
+// exactly as the serial build runs them: their shared state (switch,
+// root-complex pipeline, LLC, IOMMU unit) sees traffic in the serial
+// schedule because it is the serial schedule, restricted to the
+// island. Only separate islands run concurrently, which is why a spec
+// that forms a single island builds serially at any worker count.
+// Root-complex jitter does not couple islands either — each island's
+// sockets sample a dedicated random stream keyed by island id
+// (socketRNGs), so islands consume no shared randomness.
 //
 // Undeclared peer-to-peer BAR traffic cannot be seen statically; it is
 // guarded at run time instead (rc rejects DMA that would cross
@@ -81,7 +79,7 @@ func (s Spec) socketOf(i int) int {
 // islandsOf partitions the spec's endpoints into simulation islands:
 // groups whose traffic never meets, listed in first-endpoint order with
 // each group's endpoints in ascending order. A single returned island
-// means the spec cannot be parallelized and must build serially.
+// means the spec cannot be parallelized and builds serially.
 func islandsOf(spec Spec) [][]int {
 	n := len(spec.Endpoints)
 	u := newUnionFind(n)
@@ -146,7 +144,7 @@ func islandsOf(spec Spec) [][]int {
 // per-endpoint workload streams. Only islands beyond the first use a
 // derived stream — island 0's sockets keep the kernel stream, which
 // preserves every degenerate and single-island build (and all goldens
-// pinned before linked builds existed) byte for byte.
+// pinned before partitioned builds existed) byte for byte.
 func islandSeed(seed int64, d int) int64 {
 	z := uint64(seed) + uint64(d)*0xD1B54A32D192ED03
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -162,7 +160,7 @@ func islandSeed(seed int64, d int) int64 {
 // nil (the kernel stream) for island 0 and for sockets no endpoint
 // ingresses at, a stream derived from islandSeed otherwise — one
 // shared stream per island, however many sockets it spans. Serial and
-// linked builds use the same assignment, which is what keeps them
+// partitioned builds use the same assignment, which is what keeps them
 // byte-identical on jittery multi-island specs.
 func socketRNGs(spec Spec, seed int64, islands [][]int) []*rand.Rand {
 	rngs := make([]*rand.Rand, len(spec.Sockets))

@@ -152,16 +152,14 @@ type Spec struct {
 	// routes inside a single address map instead of tripping the
 	// runtime cross-domain refusal on a parallel build.
 	Peers [][2]int
-	// SimWorkers asks Build for a conservative-parallel fabric on up
-	// to this many worker goroutines (<= 1, the default, builds the
-	// serial single-kernel form). Parallelism materializes whenever
-	// the spec has more than one endpoint: independent endpoints
-	// become islands of their own, and coupled groups run their
-	// endpoints on linked kernels that replay shared-fabric traffic
-	// through a hub at window barriers. IOMMU specs participate too —
-	// a global-scope unit couples everything into one hub-replayed
-	// group, while per-socket units couple only the endpoints sharing
-	// a socket. Results are byte-identical either way.
+	// SimWorkers asks Build for a partitioned fabric run on up to this
+	// many worker goroutines (<= 1, the default, builds the serial
+	// single-kernel form). Parallelism materializes whenever the spec
+	// splits into more than one island (see islandsOf): each island
+	// runs all of its endpoints on a kernel of its own. IOMMU specs
+	// participate too — a global-scope unit couples everything into
+	// one island, while per-socket units couple only the endpoints
+	// sharing a socket. Results are byte-identical either way.
 	SimWorkers int
 	// Faults, when enabled, arms deterministic fault injection on
 	// every endpoint: BER-driven link corruption/replay, completion
@@ -239,34 +237,12 @@ type Endpoint struct {
 	Faults *fault.Counters
 }
 
-// CoupledGroup describes one multi-endpoint island of a linked build:
-// the group's endpoints run on event kernels of their own while every
-// piece of shared fabric state (router, sockets, switches, ports)
-// binds to a hub kernel. The workload layer stages each endpoint's
-// fabric traffic during a window and replays it through the hub at the
-// window barrier, in serial issue order, so shared-uplink and
-// shared-pipeline contention is simulated exactly (see
-// internal/workload's merge protocol).
-type CoupledGroup struct {
-	// Island indexes Fabric.Islands.
-	Island int
-	// Hub is the kernel the group's shared fabric state runs on.
-	Hub *sim.Kernel
-	// Lookahead is a lower bound on the delay from issuing a workload
-	// pair on any group endpoint to its completion arriving back at
-	// the device; it becomes the ParallelKernel link latency of the
-	// hub->endpoint channels.
-	Lookahead sim.Time
-	// Endpoints lists the group's endpoint indices, ascending.
-	Endpoints []int
-}
-
 // Fabric is an assembled topology, ready to run benchmarks and
 // workloads on every endpoint concurrently. On a serial build every
-// endpoint shares Kernel and RC; on a linked build (SimWorkers > 1,
-// several endpoints) each island owns a kernel and router of its own —
-// a coupled island's kernel is its hub, with one extra kernel per
-// member endpoint — and Kernel/RC alias island 0's.
+// endpoint shares Kernel and RC; on a partitioned build (SimWorkers > 1,
+// several islands) each island owns a kernel and router of its own,
+// shared by all of the island's endpoints, and Kernel/RC alias island
+// 0's.
 type Fabric struct {
 	Spec   Spec
 	Kernel *sim.Kernel
@@ -290,18 +266,12 @@ type Fabric struct {
 	Islands [][]int
 	Routers []*rc.RootComplex
 
-	// Coupled lists the multi-endpoint islands of a linked build,
-	// ascending by island; empty on serial builds and on fabrics whose
-	// islands are all singletons.
-	Coupled []CoupledGroup
-
 	epKernel []*sim.Kernel // per-endpoint island kernel
 }
 
 // Parallel reports whether the fabric runs on more than one event
-// kernel (several islands, or at least one coupled group whose
-// endpoints link to a hub).
-func (f *Fabric) Parallel() bool { return len(f.Kernels) > 1 || len(f.Coupled) > 0 }
+// kernel (one per island).
+func (f *Fabric) Parallel() bool { return len(f.Kernels) > 1 }
 
 // SimWorkers returns the worker-goroutine budget workloads should run
 // the fabric's islands on (always >= 1).
@@ -385,8 +355,8 @@ func addEndpoint(f *Fabric, router *rc.RootComplex, k *sim.Kernel, i int, es End
 	ep := &Endpoint{Name: name, Port: port, Engine: eng, Buffer: buf}
 	if f.Spec.Faults.Enabled() {
 		// Streams key on (resolved seed, global endpoint index, class),
-		// so serial and linked builds — which both reach here in spec
-		// order with the same i — arm identical fault sequences.
+		// so serial and partitioned builds — which both reach here in
+		// spec order with the same i — arm identical fault sequences.
 		seed := f.Spec.Seed
 		if seed == 0 {
 			seed = 1
@@ -409,15 +379,13 @@ func addEndpoint(f *Fabric, router *rc.RootComplex, k *sim.Kernel, i int, es End
 // directly attached endpoint): same component order, no randomness
 // consumed, so results are byte-identical to the pre-topology code.
 //
-// With SimWorkers > 1 the endpoints are partitioned into islands (see
-// islandsOf) and built linked: independent endpoints get kernels of
-// their own, and coupled groups run each endpoint on its own kernel
-// with the shared fabric state on a hub kernel that replays their
-// traffic at window barriers. IOMMU state partitions the same way: a
-// global-scope unit binds to its (single) coupled group's hub, while
-// per-socket units bind to the kernel of the island owning their
-// socket. Only single-endpoint specs stay on the serial single-kernel
-// build.
+// With SimWorkers > 1 and more than one island (see islandsOf) the
+// fabric is built partitioned: every island runs all of its endpoints
+// on a kernel and root complex of its own, and per-socket IOMMU units
+// bind to the kernel of the island owning their socket. Otherwise —
+// one endpoint, endpoints all coupled by shared state, or a serial
+// request — the whole spec builds as one island on one kernel. Both
+// forms are the same assembly over a different grouping.
 //
 // Either way, the sockets of islands beyond the first sample their
 // jitter from a per-island random stream derived from the spec seed
@@ -428,144 +396,69 @@ func Build(spec Spec) (*Fabric, error) {
 		return nil, err
 	}
 	islands := islandsOf(spec)
-	if spec.SimWorkers > 1 && (len(islands) > 1 || len(islands[0]) > 1) {
-		return buildLinked(spec, islands)
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	k := sim.New(seed)
-
-	ms, err := mem.NewSystem(spec.Mem)
-	if err != nil {
-		return nil, fmt.Errorf("topo: %w", err)
-	}
-	var mmu *iommu.IOMMU
-	var units []*iommu.IOMMU
-	if spec.IOMMU != nil {
-		if spec.perSocketIOMMU() {
-			units = make([]*iommu.IOMMU, len(spec.Sockets))
-			for i := range units {
-				units[i] = iommu.New(k, *spec.IOMMU)
-			}
-		} else {
-			mmu = iommu.New(k, *spec.IOMMU)
+	groups := islands
+	if spec.SimWorkers <= 1 || len(islands) == 1 {
+		all := make([]int, len(spec.Endpoints))
+		for i := range all {
+			all[i] = i
 		}
+		groups = [][]int{all}
 	}
-	host := hostif.New(ms, mmu)
-	for _, u := range units {
-		host.AttachIOMMU(u)
-	}
-
-	router := rc.NewRouter(k, ms, mmu, host)
-	if spec.Interconnect != nil {
-		router.SetInterconnect(*spec.Interconnect)
-	}
-	sockRNG := socketRNGs(spec, seed, islands)
-	sockets := make([]*rc.Socket, len(spec.Sockets))
-	for i, sc := range spec.Sockets {
-		sockets[i], err = router.AddSocket(rc.SocketConfig{
-			Node: sc.Node, PipeLatency: sc.PipeLatency, PipeSlots: sc.PipeSlots,
-			Jitter: sc.Jitter, RNG: sockRNG[i], IOMMU: unitAt(units, i),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("topo: socket %d: %w", i, err)
-		}
-	}
-	switches := make([]*rc.Switch, len(spec.Switches))
-	for i, sw := range spec.Switches {
-		switches[i], err = router.AddSwitch(rc.SwitchConfig{
-			Uplink: sw.Uplink, WireDelay: sw.WireDelay,
-			ForwardLatency: sw.ForwardLatency, DrainLatency: sw.DrainLatency,
-			UpCredits: sw.UpCredits, DownCredits: sw.DownCredits,
-		}, sockets[sw.Socket])
-		if err != nil {
-			return nil, fmt.Errorf("topo: switch %d: %w", i, err)
-		}
-	}
-
-	f := &Fabric{
-		Spec: spec, Kernel: k, Mem: ms, IOMMU: mmu, IOMMUs: units, Host: host,
-		RC: router, Switches: switches,
-		Kernels: []*sim.Kernel{k}, Routers: []*rc.RootComplex{router},
-	}
-	for i, es := range spec.Endpoints {
-		var sw *rc.Switch
-		var sock *rc.Socket
-		if es.Switch == DirectAttach {
-			sock = sockets[es.Socket]
-		} else {
-			sw = switches[es.Switch]
-		}
-		if err := addEndpoint(f, router, k, i, es, sock, sw); err != nil {
-			return nil, err
-		}
-	}
-	all := make([]int, len(spec.Endpoints))
-	for i := range all {
-		all[i] = i
-	}
-	f.Islands = [][]int{all}
-	return f, nil
+	return build(spec, islands, groups)
 }
 
-// buildLinked assembles a fabric whose endpoint islands each own an
-// event kernel and a root complex — and whose multi-endpoint islands
-// (coupled groups) additionally own one kernel per member endpoint,
-// with the group's fabric state bound to the island's kernel acting as
-// the hub. The shared pieces — the memory system (islands touch
-// disjoint NUMA-node state by construction) and the host buffer
-// allocator (read-only after Build) — are built once; sockets,
-// switches and endpoints are created in spec order on their island's
-// router, and host buffers are allocated in global endpoint order, so
-// the address layout matches the serial build byte for byte.
-func buildLinked(spec Spec, islands [][]int) (*Fabric, error) {
+// build assembles a fabric whose endpoint groups each own an event
+// kernel and a root complex, shared by every endpoint of the group.
+// groups is either the spec's islands or one group holding every
+// endpoint; islands always drives the jitter-stream assignment. The
+// shared pieces — the memory system (islands touch disjoint NUMA-node
+// state by construction) and the host buffer allocator (read-only
+// after Build) — are built once; sockets, switches and endpoints are
+// created in spec order on their group's router, and host buffers are
+// allocated in global endpoint order, so the address layout is the
+// same for every grouping.
+func build(spec Spec, islands, groups [][]int) (*Fabric, error) {
 	seed := spec.Seed
 	if seed == 0 {
 		seed = 1
+	}
+	kernels := make([]*sim.Kernel, len(groups))
+	for d := range groups {
+		// Every kernel is seeded alike, which keeps the spec's
+		// single-seed contract: only island 0's sockets draw jitter
+		// from the kernel stream (the others sample their per-island
+		// stream), and group 0 issues island 0's traffic in serial
+		// order, so it draws that stream exactly as the serial build.
+		kernels[d] = sim.New(seed)
 	}
 	ms, err := mem.NewSystem(spec.Mem)
 	if err != nil {
 		return nil, fmt.Errorf("topo: %w", err)
 	}
-
-	kernels := make([]*sim.Kernel, len(islands))
-	for d := range islands {
-		// Every kernel is seeded alike, which keeps the spec's
-		// single-seed contract: singleton islands draw no kernel
-		// randomness (their jitter, if any, samples the per-island
-		// stream), and a coupled hub draws jitter in replay order —
-		// serial issue order — so island 0's hub replays the serial
-		// kernel stream exactly.
-		kernels[d] = sim.New(seed)
-	}
-	epIsle := make([]int, len(spec.Endpoints))
-	for d, isl := range islands {
-		for _, i := range isl {
-			epIsle[i] = d
+	epGroup := make([]int, len(spec.Endpoints))
+	for d, g := range groups {
+		for _, i := range g {
+			epGroup[i] = d
 		}
 	}
 	// A socket is shared only within one island (that is what the
-	// partitioner guarantees); unused sockets build on island 0.
-	sockIsle := make([]int, len(spec.Sockets))
+	// partitioner guarantees); unused sockets build on group 0.
+	sockGroup := make([]int, len(spec.Sockets))
 	for i := range spec.Endpoints {
-		sockIsle[spec.socketOf(i)] = epIsle[i]
+		sockGroup[spec.socketOf(i)] = epGroup[i]
 	}
 
-	// Translation units bind to the kernel of the island owning them.
-	// A global-scope unit couples every endpoint into one island (the
-	// partitioner guarantees len(islands) == 1 then), so binding it to
-	// kernels[0] — that island's hub — means every Translate call runs
-	// in the hub's replay order: the serial schedule. Per-socket units
-	// bind wherever their socket builds.
+	// Translation units bind to the kernel of the group owning them. A
+	// global-scope unit couples every endpoint into one island, so it
+	// always lands on a single-group build; per-socket units bind
+	// wherever their socket builds.
 	var mmu *iommu.IOMMU
 	var units []*iommu.IOMMU
 	if spec.IOMMU != nil {
 		if spec.perSocketIOMMU() {
 			units = make([]*iommu.IOMMU, len(spec.Sockets))
 			for i := range units {
-				units[i] = iommu.New(kernels[sockIsle[i]], *spec.IOMMU)
+				units[i] = iommu.New(kernels[sockGroup[i]], *spec.IOMMU)
 			}
 		} else {
 			mmu = iommu.New(kernels[0], *spec.IOMMU)
@@ -576,8 +469,8 @@ func buildLinked(spec Spec, islands [][]int) (*Fabric, error) {
 		host.AttachIOMMU(u)
 	}
 
-	routers := make([]*rc.RootComplex, len(islands))
-	for d := range islands {
+	routers := make([]*rc.RootComplex, len(groups))
+	for d := range groups {
 		routers[d] = rc.NewRouter(kernels[d], ms, mmu, host)
 		if spec.Interconnect != nil {
 			routers[d].SetInterconnect(*spec.Interconnect)
@@ -587,7 +480,7 @@ func buildLinked(spec Spec, islands [][]int) (*Fabric, error) {
 	sockRNG := socketRNGs(spec, seed, islands)
 	sockets := make([]*rc.Socket, len(spec.Sockets))
 	for i, sc := range spec.Sockets {
-		sockets[i], err = routers[sockIsle[i]].AddSocket(rc.SocketConfig{
+		sockets[i], err = routers[sockGroup[i]].AddSocket(rc.SocketConfig{
 			Node: sc.Node, PipeLatency: sc.PipeLatency, PipeSlots: sc.PipeSlots,
 			Jitter: sc.Jitter, RNG: sockRNG[i], IOMMU: unitAt(units, i),
 		})
@@ -597,7 +490,7 @@ func buildLinked(spec Spec, islands [][]int) (*Fabric, error) {
 	}
 	switches := make([]*rc.Switch, len(spec.Switches))
 	for i, sw := range spec.Switches {
-		switches[i], err = routers[sockIsle[sw.Socket]].AddSwitch(rc.SwitchConfig{
+		switches[i], err = routers[sockGroup[sw.Socket]].AddSwitch(rc.SwitchConfig{
 			Uplink: sw.Uplink, WireDelay: sw.WireDelay,
 			ForwardLatency: sw.ForwardLatency, DrainLatency: sw.DrainLatency,
 			UpCredits: sw.UpCredits, DownCredits: sw.DownCredits,
@@ -610,15 +503,7 @@ func buildLinked(spec Spec, islands [][]int) (*Fabric, error) {
 	f := &Fabric{
 		Spec: spec, Kernel: kernels[0], Mem: ms, IOMMU: mmu, IOMMUs: units, Host: host,
 		RC: routers[0], Switches: switches,
-		Kernels: kernels, Islands: islands, Routers: routers,
-	}
-	for d, isl := range islands {
-		if len(isl) > 1 {
-			f.Coupled = append(f.Coupled, CoupledGroup{
-				Island: d, Hub: kernels[d],
-				Lookahead: groupLookahead(spec, isl), Endpoints: isl,
-			})
-		}
+		Kernels: kernels, Islands: groups, Routers: routers,
 	}
 	for i, es := range spec.Endpoints {
 		var sw *rc.Switch
@@ -628,20 +513,12 @@ func buildLinked(spec Spec, islands [][]int) (*Fabric, error) {
 		} else {
 			sw = switches[es.Switch]
 		}
-		d := epIsle[i]
-		k := kernels[d]
-		if len(islands[d]) > 1 {
-			// A coupled group's member runs its control loop on a kernel
-			// of its own; the port it drives stays on the hub (island)
-			// kernel and is only driven in replay order at window
-			// barriers.
-			k = sim.New(seed)
-		}
-		if err := addEndpoint(f, routers[d], k, i, es, sock, sw); err != nil {
+		d := epGroup[i]
+		if err := addEndpoint(f, routers[d], kernels[d], i, es, sock, sw); err != nil {
 			return nil, err
 		}
 	}
-	// Mirror every BAR window into the routers of the other islands so
+	// Mirror every BAR window into the routers of the other groups so
 	// peer DMA that would cross domains is detected and rejected at the
 	// routing boundary instead of silently treated as host memory.
 	for i, ep := range f.Endpoints {
@@ -649,7 +526,7 @@ func buildLinked(spec Spec, islands [][]int) (*Fabric, error) {
 			continue
 		}
 		for d, r := range routers {
-			if d == epIsle[i] {
+			if d == epGroup[i] {
 				continue
 			}
 			if err := r.MirrorBAR(ep.Port); err != nil {
@@ -667,38 +544,6 @@ func unitAt(units []*iommu.IOMMU, i int) *iommu.IOMMU {
 		return nil
 	}
 	return units[i]
-}
-
-// groupLookahead returns a lower bound on the delay from a workload
-// pair's issue on any of the group's endpoints to its completion
-// arriving back at the device. Every pair opens with a payload DMA
-// read, whose completion must cross the fabric up (request), through
-// the socket pipeline, and back down (first completion TLP) — each
-// term below under-approximates that path (jitter, flow control,
-// arbitration, memory latency and the inter-socket bus only add time),
-// so a pair staged at time t always completes at or after
-// t + lookahead. The linked build uses the group minimum as the
-// ParallelKernel link latency of its hub->endpoint channels: a window
-// bounded by it can never need a completion that has not been
-// replayed yet. SocketSpec.PipeLatency is validated positive, so the
-// bound always clears ParallelKernel.Connect's 1ps floor.
-func groupLookahead(spec Spec, isl []int) sim.Time {
-	var la sim.Time
-	for _, i := range isl {
-		ep := spec.Endpoints[i]
-		link := ep.Link
-		reqTime := sim.Time(link.BytesTime(pcie.MRdHeaderBytes(link.Addr64, link.ECRC)))
-		cplTime := sim.Time(link.BytesTime(pcie.CplDHeaderBytes(link.ECRC) + 1))
-		l := reqTime + cplTime + 2*ep.WireDelay + spec.Sockets[spec.socketOf(i)].PipeLatency
-		if ep.Switch != DirectAttach {
-			sw := spec.Switches[ep.Switch]
-			l += 2 * (sw.ForwardLatency + sw.WireDelay)
-		}
-		if la == 0 || l < la {
-			la = l
-		}
-	}
-	return la
 }
 
 // BARAddr returns the bus address of byte off inside endpoint ep's BAR

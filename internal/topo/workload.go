@@ -11,13 +11,10 @@ import (
 // becomes the workload path and its buffer base the queue region, then
 // the workload engine executes them all — on the one shared kernel of
 // a serial fabric, or island by island on up to f.SimWorkers()
-// goroutines for a partitioned one, with byte-identical results at
-// every worker count. Coupled islands (shared switch, socket, buffer
-// node or declared peering) hand their hub kernels and lookahead
-// windows to workload.RunMultiCoupled, which replays their traffic
-// through the shared fabric at window barriers in serial order. This
-// is the single assembly the sweep engine, the CLI and the examples
-// share.
+// goroutines for a partitioned one, every endpoint of an island on
+// that island's kernel, with byte-identical results at every worker
+// count. This is the single assembly the sweep engine, the CLI and the
+// examples share.
 func RunWorkload(f *Fabric, cfg workload.Config, pairsEach int) (*workload.MultiResult, error) {
 	paths := make([]workload.Path, len(f.Endpoints))
 	bases := make([]uint64, len(f.Endpoints))
@@ -28,21 +25,7 @@ func RunWorkload(f *Fabric, cfg workload.Config, pairsEach int) (*workload.Multi
 		bases[i] = ep.Buffer.DMAAddr(0)
 		kernels[i] = f.EndpointKernel(i)
 	}
-	var res *workload.MultiResult
-	var err error
-	if len(f.Coupled) > 0 {
-		groups := make([]workload.Coupled, len(f.Coupled))
-		for gi, g := range f.Coupled {
-			groups[gi] = workload.Coupled{
-				Hub:       g.Hub,
-				Lookahead: g.Lookahead,
-				Endpoints: g.Endpoints,
-			}
-		}
-		res, err = workload.RunMultiCoupled(kernels, groups, paths, bases, cfg, pairsEach, f.SimWorkers())
-	} else {
-		res, err = workload.RunMultiKernels(kernels, paths, bases, cfg, pairsEach, f.SimWorkers())
-	}
+	res, err := workload.RunMultiKernels(kernels, paths, bases, cfg, pairsEach, f.SimWorkers())
 	if err == nil {
 		attachFaults(f, res)
 	}

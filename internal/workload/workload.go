@@ -28,7 +28,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"pciebench/internal/fault"
@@ -377,14 +376,6 @@ func compileMix(design model.NIC) []txn {
 // arrival bookkeeping are methods invoked via pointer-shaped handlers
 // with the per-event data packed into the two event arguments, so the
 // steady-state loop schedules nothing that allocates.
-//
-// A linked state (one endpoint of a coupled group, see RunMultiCoupled)
-// runs the same control flow on a kernel of its own, but issueOne
-// stages pairs instead of driving the shared fabric: the group's
-// merger replays them on the hub kernel at each window barrier and
-// sends the completion events back. ctx carries the merge protocol's
-// causal ordering — the virtual sequence number of the latest replayed
-// event this state observed.
 type runState struct {
 	k       *sim.Kernel
 	complex Path
@@ -400,45 +391,6 @@ type runState struct {
 	lat     []float64  // aggregate completion latencies (pooled)
 	latPtr  *[]float64 // pool box, round-tripped back on Put
 	closed  bool
-
-	// Coupled-group fields; zero on serial and singleton-island runs.
-	linked   bool
-	dom      int          // this endpoint's ParallelKernel domain
-	ctx      int64        // vseq of the latest causally preceding event
-	stage    []stagedPair // pairs staged during the current window
-	freeDone []*linkedDone
-}
-
-// stagedPair is one packet pair a linked endpoint issued during a
-// window, recorded for hub replay at the barrier.
-type stagedPair struct {
-	q       int
-	size    int
-	mixIdx  int      // the pair's per-queue amortization index
-	arrival sim.Time // open-loop arrival (latency baseline)
-	at      sim.Time // endpoint-kernel time the pair was issued
-	ctx     int64    // vseq of the handler that issued it
-}
-
-// linkedDone carries a replayed pair's completion from the hub back to
-// its endpoint kernel: pairDoneEvent plus the replay's virtual
-// sequence number, which becomes the state's ctx so pairs issued by
-// the refill are ordered after this completion at the next barrier.
-// Instances recycle through runState.freeDone — the free list is
-// touched only by the endpoint's goroutine during windows and by the
-// single-threaded merger at barriers, never concurrently.
-type linkedDone struct {
-	s    *runState
-	vseq int64
-}
-
-// Handle restores the causal context, recycles the carrier and runs
-// the ordinary completion bookkeeping.
-func (e *linkedDone) Handle(k *sim.Kernel, a, b int64) {
-	s := e.s
-	s.ctx = e.vseq
-	s.freeDone = append(s.freeDone, e)
-	pairDoneEvent{s}.Handle(k, a, b)
 }
 
 // pairDoneEvent fires when the last transaction of a packet pair
@@ -480,19 +432,13 @@ func (e startEvent) Handle(*sim.Kernel, int64, int64) {
 	s.scheduleArrival()
 }
 
-// arrivalEvent fires one open-loop arrival batch; a is the batch size,
-// b the issuing handler's causal context (linked runs only).
+// arrivalEvent fires one open-loop arrival batch; a is the batch size.
 type arrivalEvent struct{ s *runState }
 
 // Handle spreads the batch over the queues by flow hash and draws the
-// next arrival. On a linked state the event's recorded context is
-// restored first, so the pairs it stages are ordered deterministically
-// at the barrier regardless of worker count.
-func (e arrivalEvent) Handle(k *sim.Kernel, a, b int64) {
+// next arrival.
+func (e arrivalEvent) Handle(k *sim.Kernel, a, _ int64) {
 	s := e.s
-	if s.linked {
-		s.ctx = b
-	}
 	for n := int64(0); n < a && s.arrived < s.pairs; n++ {
 		s.arrived++
 		flow := s.rng.Intn(s.cfg.Flows)
@@ -515,7 +461,7 @@ func (s *runState) scheduleArrival() {
 		return
 	}
 	gap, batch := s.cfg.Arrival.NextGap(s.rng)
-	s.k.AfterEvent(gap, arrivalEvent{s}, int64(batch), s.ctx)
+	s.k.AfterEvent(gap, arrivalEvent{s}, int64(batch), 0)
 }
 
 // pump refills queue q: closed-loop runs draw fresh frames up to the
@@ -534,14 +480,13 @@ func (s *runState) pump(q int) {
 	}
 }
 
-// issueTxnAt runs one PCIe transaction of a pair at time at and
-// returns the updated pair-completion horizon. Serial runs pass the
-// kernel's current time; hub replay passes the pair's staged issue
-// time.
-func (s *runState) issueTxnAt(qs *queueState, kind, bytes int, at, pairEnd sim.Time) sim.Time {
+// issueTxn runs one PCIe transaction of a pair at the current
+// simulated time and returns the updated pair-completion horizon.
+func (s *runState) issueTxn(qs *queueState, kind, bytes int, pairEnd sim.Time) sim.Time {
 	if s.err != nil {
 		return pairEnd
 	}
+	at := s.k.Now()
 	switch kind {
 	case model.DMARead:
 		res, err := s.complex.DMARead(at, qs.addr, bytes)
@@ -574,54 +519,27 @@ func (s *runState) issueTxnAt(qs *queueState, kind, bytes int, at, pairEnd sim.T
 }
 
 // issueOne expands one packet pair into its transaction list at the
-// current simulated time and schedules the completion bookkeeping. On
-// a linked state the pair is staged instead — bookkeeping (window
-// occupancy, amortization index) advances now, the fabric transactions
-// run at the barrier in replay order.
+// current simulated time and schedules the completion bookkeeping.
 func (s *runState) issueOne(q, size int, arrival sim.Time) {
 	qs := &s.queues[q]
 	i := qs.count
 	qs.count++
 	qs.inFlight++
 	s.issued++
-	if s.linked {
-		s.stage = append(s.stage, stagedPair{
-			q: q, size: size, mixIdx: i, arrival: arrival, at: s.k.Now(), ctx: s.ctx,
-		})
-		return
-	}
 	// Payload first — TX is a DMA read, RX a DMA write — then the
 	// design's amortized interactions.
 	var pairEnd sim.Time
-	pairEnd = s.issueTxnAt(qs, model.DMARead, size, s.k.Now(), pairEnd)
-	pairEnd = s.issueTxnAt(qs, model.DMAWrite, size, s.k.Now(), pairEnd)
+	pairEnd = s.issueTxn(qs, model.DMARead, size, pairEnd)
+	pairEnd = s.issueTxn(qs, model.DMAWrite, size, pairEnd)
 	for _, tx := range qs.mix {
 		if i%tx.every == 0 {
-			pairEnd = s.issueTxnAt(qs, tx.kind, tx.bytes, s.k.Now(), pairEnd)
+			pairEnd = s.issueTxn(qs, tx.kind, tx.bytes, pairEnd)
 		}
 	}
 	if s.err != nil {
 		return
 	}
 	s.k.AtEvent(pairEnd, pairDoneEvent{s}, int64(q)<<32|int64(size), int64(arrival))
-}
-
-// replayPair drives one staged pair's transactions into the shared
-// fabric at its recorded issue time — the same expansion issueOne
-// performs inline on a serial run — and returns the pair-completion
-// horizon. The caller (the group merger) runs on the hub kernel at a
-// window barrier.
-func (s *runState) replayPair(sp stagedPair) sim.Time {
-	qs := &s.queues[sp.q]
-	var pairEnd sim.Time
-	pairEnd = s.issueTxnAt(qs, model.DMARead, sp.size, sp.at, pairEnd)
-	pairEnd = s.issueTxnAt(qs, model.DMAWrite, sp.size, sp.at, pairEnd)
-	for _, tx := range qs.mix {
-		if sp.mixIdx%tx.every == 0 {
-			pairEnd = s.issueTxnAt(qs, tx.kind, tx.bytes, sp.at, pairEnd)
-		}
-	}
-	return pairEnd
 }
 
 // newRunState builds one engine state over path with the given
@@ -791,43 +709,16 @@ func RunMulti(k *sim.Kernel, paths []Path, bases []uint64, cfg Config, pairsEach
 }
 
 // RunMultiKernels is RunMulti for a partitioned fabric: kernels[i] is
-// the event kernel endpoint i's simulation island runs on. The kernels
-// are deduplicated (in first-appearance order) into domains; a single
-// domain runs exactly like RunMulti, several run concurrently on up to
-// workers goroutines via sim.NewParallel. Islands exchange no events,
-// so each free-runs to completion in one window. State construction,
-// start-event scheduling and result collection all happen in global
-// endpoint order, which keeps results byte-identical to the serial
-// single-kernel run at every worker count.
+// the event kernel endpoint i's simulation island runs on, and every
+// endpoint that shares simulation state with another must share its
+// kernel. The kernels are deduplicated (in first-appearance order) into
+// domains; a single domain runs exactly like RunMulti, several run
+// concurrently on up to workers goroutines via sim.NewParallel. Islands
+// exchange no events, so each runs to completion on its own. State
+// construction, start-event scheduling and result collection all
+// happen in global endpoint order, which keeps results byte-identical
+// to the serial single-kernel run at every worker count.
 func RunMultiKernels(kernels []*sim.Kernel, paths []Path, bases []uint64, cfg Config, pairsEach, workers int) (*MultiResult, error) {
-	return runMulti(kernels, nil, paths, bases, cfg, pairsEach, workers)
-}
-
-// Coupled describes one coupled island of a linked fabric build: its
-// members' control loops run on their own kernels (kernels[i] for each
-// i in Endpoints), while the island's shared fabric state lives on Hub,
-// which must not appear in the endpoint kernel slice. Lookahead is the
-// island's windowed-channel latency: a lower bound on how long after
-// issue any pair can complete, so completions sent at the barrier
-// always clear the channel's timing floor.
-type Coupled struct {
-	Hub       *sim.Kernel
-	Lookahead sim.Time
-	Endpoints []int
-}
-
-// RunMultiCoupled is RunMultiKernels for fabrics where some islands
-// hold several endpoints coupled by shared state (a switch, a socket, a
-// buffer node, declared peering). Each coupled group's pairs are staged
-// on the members' kernels and replayed through the group's hub at
-// window barriers in serial issue order, with completions delivered
-// over windowed channels — results stay byte-identical across worker
-// counts, and for closed-loop workloads identical to the serial build.
-func RunMultiCoupled(kernels []*sim.Kernel, groups []Coupled, paths []Path, bases []uint64, cfg Config, pairsEach, workers int) (*MultiResult, error) {
-	return runMulti(kernels, groups, paths, bases, cfg, pairsEach, workers)
-}
-
-func runMulti(kernels []*sim.Kernel, groups []Coupled, paths []Path, bases []uint64, cfg Config, pairsEach, workers int) (*MultiResult, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("workload: no kernels")
 	}
@@ -849,37 +740,12 @@ func runMulti(kernels []*sim.Kernel, groups []Coupled, paths []Path, bases []uin
 	}
 
 	var domains []*sim.Kernel
+	seen := map[*sim.Kernel]bool{}
 	for _, k := range kernels {
-		seen := false
-		for _, d := range domains {
-			if d == k {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !seen[k] {
+			seen[k] = true
 			domains = append(domains, k)
 		}
-	}
-	domOf := func(k *sim.Kernel) int {
-		for d, dk := range domains {
-			if dk == k {
-				return d
-			}
-		}
-		return -1
-	}
-	// Hub kernels become extra domains after the endpoint domains, one
-	// per coupled group, in group order.
-	epDomains := len(domains)
-	for gi, g := range groups {
-		if len(g.Endpoints) == 0 {
-			return nil, fmt.Errorf("workload: coupled group %d has no endpoints", gi)
-		}
-		if g.Hub == nil || domOf(g.Hub) >= 0 {
-			return nil, fmt.Errorf("workload: coupled group %d hub must be a dedicated kernel", gi)
-		}
-		domains = append(domains, g.Hub)
 	}
 
 	states := make([]*runState, len(paths))
@@ -888,42 +754,14 @@ func runMulti(kernels []*sim.Kernel, groups []Coupled, paths []Path, bases []uin
 		states[i] = newRunState(kernels[i], paths[i], bases[i], cfg, pairsEach, runner.Seed(cfg.Seed, i))
 		defer states[i].release()
 	}
-	for _, g := range groups {
-		for j, i := range g.Endpoints {
-			if i < 0 || i >= len(states) {
-				return nil, fmt.Errorf("workload: coupled group references endpoint %d of %d", i, len(states))
-			}
-			s := states[i]
-			s.linked = true
-			s.dom = domOf(kernels[i])
-			// Start events are the first N replay-order contexts, in
-			// member order; issued pairs take vseq numbers from N up.
-			s.ctx = int64(j)
-		}
-	}
 	for i, s := range states {
 		starts[i] = kernels[i].Now()
 		kernels[i].AfterEvent(0, startEvent{s}, 0, 0)
 	}
-	if len(domains) == 1 && len(groups) == 0 {
+	if len(domains) == 1 {
 		domains[0].Run()
 	} else {
-		p := sim.NewParallel(domains)
-		for gi, g := range groups {
-			hubDom := epDomains + gi
-			members := make([]*runState, len(g.Endpoints))
-			for j, i := range g.Endpoints {
-				members[j] = states[i]
-				p.Connect(hubDom, states[i].dom, g.Lookahead)
-			}
-			p.AddMerger(&coupledGroup{
-				hub:    g.Hub,
-				hubDom: hubDom,
-				states: members,
-				vseq:   int64(len(g.Endpoints)),
-			})
-		}
-		p.Run(workers)
+		sim.NewParallel(domains).Run(workers)
 	}
 
 	res := &MultiResult{}
@@ -949,98 +787,6 @@ func runMulti(kernels []*sim.Kernel, groups []Coupled, paths []Path, bases []uin
 	res.GbpsPerDirection = float64(totalBytes) * 8 / secs / 1e9
 	res.Latency, _ = scratch.Summarize(allLat)
 	return res, nil
-}
-
-// pairRef points at one staged pair during a barrier merge: states[...]
-// owns the stage slice, idx indexes into it.
-type pairRef struct {
-	s   *runState
-	idx int
-}
-
-// coupledGroup replays one coupled island's staged pairs into the
-// shared fabric at every window barrier. The members' workload control
-// loops run on their own kernels; all fabric state binds to the hub
-// kernel, which only this merger drives — single-threaded, inside the
-// barrier — so replay order is a deterministic schedule.
-//
-// Ordering: staged pairs sort by (issue time, issuing context, stage
-// index). The context is the virtual sequence number of the event that
-// issued the pair, and vseq numbers are assigned in replay order (start
-// events take 0..N-1 in member order), so the sort reproduces exactly
-// the handler order a serial single-kernel run would execute — ties at
-// one timestamp resolve by the serial schedule's own FCFS causality,
-// not by member index. See the package design note in the sim package
-// for the argument.
-type coupledGroup struct {
-	hub    *sim.Kernel
-	hubDom int
-	states []*runState // group members, in island-endpoint order
-	vseq   int64       // next virtual sequence number
-	refs   []pairRef   // scratch, reused across barriers
-}
-
-// Merge implements sim.Merger: sort the window's staged pairs into
-// serial order, replay each through the hub at its recorded issue time,
-// and send the completion back over the windowed channel.
-func (g *coupledGroup) Merge(p *sim.ParallelKernel) {
-	refs := g.refs[:0]
-	for _, s := range g.states {
-		for i := range s.stage {
-			refs = append(refs, pairRef{s, i})
-		}
-	}
-	if len(refs) == 0 {
-		g.refs = refs
-		return
-	}
-	// (at, ctx, idx) is a strict total order: a context belongs to one
-	// member, so cross-member refs never tie past ctx, and idx orders
-	// pairs staged by one handler activation.
-	sort.Slice(refs, func(a, b int) bool {
-		pa := refs[a].s.stage[refs[a].idx]
-		pb := refs[b].s.stage[refs[b].idx]
-		if pa.at != pb.at {
-			return pa.at < pb.at
-		}
-		if pa.ctx != pb.ctx {
-			return pa.ctx < pb.ctx
-		}
-		return refs[a].idx < refs[b].idx
-	})
-	for _, r := range refs {
-		s := r.s
-		sp := s.stage[r.idx]
-		// Windows only grow the hub clock: every pair staged in window
-		// n has an issue time below that window's horizon, and pairs
-		// staged later land at or beyond it.
-		g.hub.RunUntil(sp.at)
-		pairEnd := s.replayPair(sp)
-		vseq := g.vseq
-		g.vseq++
-		if s.err != nil {
-			// Serial issueOne returns without scheduling completion on
-			// error; the member's loop winds down when it sees err.
-			continue
-		}
-		var ld *linkedDone
-		if n := len(s.freeDone); n > 0 {
-			ld = s.freeDone[n-1]
-			s.freeDone = s.freeDone[:n-1]
-		} else {
-			ld = &linkedDone{}
-		}
-		ld.s = s
-		ld.vseq = vseq
-		// The send must happen now, before the hub clock advances to
-		// the next pair: pairEnd clears the link's lookahead from
-		// sp.at, not necessarily from later issue times.
-		p.Send(g.hubDom, s.dom, pairEnd, ld, int64(sp.q)<<32|int64(sp.size), int64(sp.arrival))
-	}
-	for _, s := range g.states {
-		s.stage = s.stage[:0]
-	}
-	g.refs = refs[:0]
 }
 
 // queueOf spreads a flow over the queues RSS-style with a splitmix64
