@@ -157,10 +157,6 @@ func newFCWindow(pool dll.CreditType, limit dll.Credits) fcWindow {
 func (f *fcWindow) drainOne() {
 	rel := f.pending[f.phead]
 	f.phead++
-	if f.phead == len(f.pending) {
-		f.pending = f.pending[:0]
-		f.phead = 0
-	}
 	// Errors are impossible by construction: every pending entry was
 	// Received exactly once.
 	_ = f.rx.Drained(f.pool, rel.payload)
@@ -191,10 +187,17 @@ func (f *fcWindow) ready(t sim.Time, payload int) sim.Time {
 
 // note records the TLP's future drain. Drain times on one serialized
 // direction are almost always monotone; the insertion keeps the FIFO
-// sorted for the rare unreserved-return exceptions.
+// sorted for the rare unreserved-return exceptions. Under sustained
+// traffic the queue never empties, so the drained head is reclaimed
+// once it is at least half the slice: the queue stays bounded by the
+// TLPs the pool holds outstanding instead of growing by one per TLP.
 func (f *fcWindow) note(at sim.Time, payload int) {
 	if f.tx == nil {
 		return
+	}
+	if f.phead > 0 && 2*f.phead >= len(f.pending) {
+		f.pending = f.pending[:copy(f.pending, f.pending[f.phead:])]
+		f.phead = 0
 	}
 	f.pending = append(f.pending, fcRelease{at: at, payload: payload})
 	for i := len(f.pending) - 1; i > f.phead && f.pending[i].at < f.pending[i-1].at; i-- {

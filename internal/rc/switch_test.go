@@ -277,6 +277,36 @@ func TestSwitchCreditBackpressure(t *testing.T) {
 	}
 }
 
+// TestSwitchCreditQueueBounded drives thousands of back-to-back
+// writes through a posted window that holds four TLPs outstanding, so
+// some drain is always pending and the release queue never empties. Its
+// backing slice must stay within a small multiple of that window rather
+// than growing by one entry per TLP, and every credit must still come
+// back once the drains elapse.
+func TestSwitchCreditQueueBounded(t *testing.T) {
+	const outstanding = 4
+	cfg := transparentSwitch()
+	cfg.DrainLatency = 500 * sim.Nanosecond
+	cfg.UpCredits.P = dll.Credits{Hdr: outstanding, Data: 64}
+	k, r := newSwitchedRC(t, 1, cfg)
+	sw := r.Switches()[0]
+	p := r.Port(0)
+	const tlps = 20000
+	for i := 0; i < tlps; i++ {
+		if _, err := p.DMAWrite(0, uint64(i%4096)*256, 256); err != nil {
+			t.Fatal(err)
+		}
+	}
+	win := &sw.fc[dirUp][dll.Posted]
+	if c := cap(win.pending); c > 8*outstanding {
+		t.Errorf("release queue capacity %d after %d TLPs, want <= %d", c, tlps, 8*outstanding)
+	}
+	k.Run()
+	if !sw.FCIdle() {
+		t.Error("flow-control credits leaked")
+	}
+}
+
 // TestPeerDMARouting checks address-ranged peer-to-peer routing: a
 // write into a peer's BAR window lands at the peer (MemDone reflects
 // its device latency), takes the switch shortcut when both share one,

@@ -3,6 +3,8 @@ package report
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 
 	"pciebench/internal/model"
 	"pciebench/internal/pcie"
@@ -29,11 +31,60 @@ func init() {
 	}
 }
 
-// runSpec executes a spec on the report worker pool.
-func runSpec(s *sweep.Spec, q Quality) (*sweep.Result, error) {
-	return s.Run(context.Background(), sweep.RunOptions{
-		Workers: Parallelism(), Quality: q,
+// runSpec executes a spec on the report worker pool and returns its
+// cells in grid order. Given picks, it runs only the cells they select
+// instead: each pick is a list of ApplyOverrides arguments narrowing a
+// clone of the spec, identical picks run once, and the narrowed cells
+// come back in ascending x order. Every figure spec is SeedFixed, so a
+// cell's result depends only on its parameters, never on its grid
+// position: a narrowed cell measures exactly what its counterpart in
+// the full grid does, and the assemblers shape it into the same point.
+func runSpec(s *sweep.Spec, q Quality, picks ...[]string) ([]sweep.CellResult, error) {
+	if len(picks) == 0 {
+		res, err := s.Run(context.Background(), sweep.RunOptions{
+			Workers: Parallelism(), Quality: q,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return res.Cells, nil
+	}
+	seen := make(map[string]bool)
+	var narrowed []*sweep.Spec
+	for _, pick := range picks {
+		key := strings.Join(pick, " ")
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		n := s.Clone()
+		if err := n.ApplyOverrides(pick); err != nil {
+			return nil, err
+		}
+		narrowed = append(narrowed, n)
+	}
+	// A table's pick selects one cell, so the pool runs picks, not the
+	// cells within one.
+	parts, err := runUnits(narrowed, func(n *sweep.Spec) ([]sweep.CellResult, error) {
+		res, err := n.Run(context.Background(), sweep.RunOptions{Workers: 1, Quality: q})
+		if err != nil {
+			return nil, err
+		}
+		return res.Cells, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	var cells []sweep.CellResult
+	for _, p := range parts {
+		cells = append(cells, p...)
+	}
+	if s.XAxis != "" {
+		sort.SliceStable(cells, func(i, j int) bool {
+			return cells[i].Cell.Int(s.XAxis) < cells[j].Cell.Int(s.XAxis)
+		})
+	}
+	return cells, nil
 }
 
 // Fig1 computes the modeled bidirectional bandwidth of a Gen3 x8 link
@@ -94,15 +145,20 @@ func fig2Spec() *sweep.Spec {
 // Fig2 measures the ExaNIC-style loopback NIC latency and its PCIe
 // share across frame sizes (§2, Figure 2). Each frame size is one cell
 // with its own loopback instance.
-func Fig2(q Quality) (*Figure, error) {
-	res, err := runSpec(fig2Spec(), q)
+func Fig2(q Quality) (*Figure, error) { return fig2(q) }
+
+// fig2 assembles Figure 2 from the cells picks select (runSpec), or
+// from the whole grid without picks. The narrowed forms of the other
+// figures below work the same way.
+func fig2(q Quality, picks ...[]string) (*Figure, error) {
+	cells, err := runSpec(fig2Spec(), q, picks...)
 	if err != nil {
 		return nil, err
 	}
 	total := &stats.Series{Name: "NIC"}
 	pcieNS := &stats.Series{Name: "PCIe contribution"}
 	frac := &stats.Series{Name: "PCIe fraction"}
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		x := float64(c.Cell.Int("transfer"))
 		m := c.Meas[0]
 		total.Append(x, m.Median)
@@ -180,8 +236,10 @@ func fig4Spec() *sweep.Spec {
 // and BW_RDWR for NFP6000-HSW and NetFPGA-HSW against the model, with a
 // warm 8 KB window. Every (benchmark, system, size) point is one cell
 // against a freshly built target.
-func Fig4(q Quality) ([]*Figure, error) {
-	res, err := runSpec(fig4Spec(), q)
+func Fig4(q Quality) ([]*Figure, error) { return fig4(q) }
+
+func fig4(q Quality, picks ...[]string) ([]*Figure, error) {
+	cells, err := runSpec(fig4Spec(), q, picks...)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +271,7 @@ func Fig4(q Quality) ([]*Figure, error) {
 	}
 	// Assemble from the cells the sweep ran over, so values cannot land
 	// on the wrong series if the enumeration ever changes.
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		key := idOf[c.Cell.Get("bench")] + "|" + c.Cell.Get("system")
 		seriesOf[key].Append(float64(c.Cell.Int("transfer")), c.Values[0])
 	}
@@ -244,8 +302,10 @@ func fig5Spec() *sweep.Spec {
 // Fig5 runs the baseline latency comparison (Figure 5): median LAT_RD
 // and LAT_WRRD for both devices across transfer sizes. One cell per
 // (system, size) pair measures both benchmarks on fresh targets.
-func Fig5(q Quality) (*Figure, error) {
-	res, err := runSpec(fig5Spec(), q)
+func Fig5(q Quality) (*Figure, error) { return fig5(q) }
+
+func fig5(q Quality, picks ...[]string) (*Figure, error) {
+	cells, err := runSpec(fig5Spec(), q, picks...)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +322,7 @@ func Fig5(q Quality) (*Figure, error) {
 		wrOf[sysName] = &stats.Series{Name: "LAT_WRRD (" + sysName + ")"}
 		fig.Series = append(fig.Series, rdOf[sysName], wrOf[sysName])
 	}
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		sysName := c.Cell.Get("system")
 		x := float64(c.Cell.Int("transfer"))
 		rdOf[sysName].Append(x, c.Values[0])
@@ -291,8 +351,10 @@ func fig6Spec() *sweep.Spec {
 // Fig6 produces the 64 B read-latency CDFs for the Xeon E5 and E3
 // systems (Figure 6), with the jitter models active. Each system is one
 // cell.
-func Fig6(q Quality) (*Figure, error) {
-	res, err := runSpec(fig6Spec(), q)
+func Fig6(q Quality) (*Figure, error) { return fig6(q) }
+
+func fig6(q Quality, picks ...[]string) (*Figure, error) {
+	cells, err := runSpec(fig6Spec(), q, picks...)
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +364,7 @@ func Fig6(q Quality) (*Figure, error) {
 		XLabel: "Latency (ns)",
 		YLabel: "CDF",
 	}
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		cdf := c.Meas[0].CDF
 		s := &stats.Series{Name: c.Cell.Get("system")}
 		s.X = cdf.Values
@@ -345,8 +407,12 @@ func fig7Spec() *sweep.Spec {
 // interface, cold vs warm; (b) 64 B bandwidth, cold vs warm. One cell
 // per (cache state, window) runs all four benchmarks against a shared
 // freshly built instance.
-func Fig7(q Quality) ([]*Figure, error) {
-	res, err := runSpec(fig7Spec(), q)
+func Fig7(q Quality) ([]*Figure, error) { return fig7(q) }
+
+// fig7 narrows by (cache, window); a narrowed cell still runs all four
+// probes in order against its one shared instance.
+func fig7(q Quality, picks ...[]string) ([]*Figure, error) {
+	cells, err := runSpec(fig7Spec(), q, picks...)
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +437,7 @@ func Fig7(q Quality) ([]*Figure, error) {
 		figA.Series = append(figA.Series, g.latRd, g.latWr)
 		figB.Series = append(figB.Series, g.bwRd, g.bwWr)
 	}
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		g := groups[c.Cell.Get("cache")]
 		x := float64(c.Cell.Int("window"))
 		g.latRd.Append(x, c.Values[0])
@@ -414,8 +480,8 @@ func bwDeltaSpec(name, title, description, seed string, extraBase, contrastSet m
 
 // bwDeltaFigure assembles a Figure 8/9-shaped result: one series per
 // transfer size across window sizes.
-func bwDeltaFigure(s *sweep.Spec, q Quality, id, title string) (*Figure, error) {
-	res, err := runSpec(s, q)
+func bwDeltaFigure(s *sweep.Spec, q Quality, id, title string, picks [][]string) (*Figure, error) {
+	cells, err := runSpec(s, q, picks...)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +494,7 @@ func bwDeltaFigure(s *sweep.Spec, q Quality, id, title string) (*Figure, error) 
 		seriesOf[sz] = &stats.Series{Name: fmt.Sprintf("%dB BW_RD", sz)}
 		fig.Series = append(fig.Series, seriesOf[sz])
 	}
-	for _, c := range res.Cells {
+	for _, c := range cells {
 		seriesOf[c.Cell.Int("transfer")].Append(float64(c.Cell.Int("window")), c.Values[0])
 	}
 	return fig, nil
@@ -445,9 +511,11 @@ func fig8Spec() *sweep.Spec {
 
 // Fig8 measures the NUMA penalty on NFP6000-BDW (Figure 8): percentage
 // change of warm-cache BW_RD between a node-local and a remote buffer.
-func Fig8(q Quality) (*Figure, error) {
+func Fig8(q Quality) (*Figure, error) { return fig8(q) }
+
+func fig8(q Quality, picks ...[]string) (*Figure, error) {
 	return bwDeltaFigure(fig8Spec(), q, "fig8",
-		"Local vs remote DMA reads, warm cache (NFP6000-BDW)")
+		"Local vs remote DMA reads, warm cache (NFP6000-BDW)", picks)
 }
 
 func fig9Spec() *sweep.Spec {
@@ -462,9 +530,11 @@ func fig9Spec() *sweep.Spec {
 // Fig9 measures the IOMMU impact on NFP6000-BDW (Figure 9): percentage
 // change of warm-cache BW_RD with the IOMMU enabled (4 KB mappings,
 // sp_off) relative to disabled.
-func Fig9(q Quality) (*Figure, error) {
+func Fig9(q Quality) (*Figure, error) { return fig9(q) }
+
+func fig9(q Quality, picks ...[]string) (*Figure, error) {
 	return bwDeltaFigure(fig9Spec(), q, "fig9",
-		"IOMMU impact on DMA reads, warm cache (NFP6000-BDW)")
+		"IOMMU impact on DMA reads, warm cache (NFP6000-BDW)", picks)
 }
 
 func ddioSpec() *sweep.Spec {
@@ -484,26 +554,33 @@ func ddioSpec() *sweep.Spec {
 	}
 }
 
+// The Figure 8 and 9 points Table 2 quotes.
+var (
+	iommuInReach = at("fig9", "64B BW_RD", 64<<10, "transfer=64")
+	iommuBeyond  = at("fig9", "64B BW_RD", 16<<20, "transfer=64")
+	numaSmall    = at("fig8", "64B BW_RD", 64<<10, "transfer=64")
+	numaLarge    = at("fig8", "512B BW_RD", 64<<10, "transfer=512")
+	table2Points = []point{iommuInReach, iommuBeyond, numaSmall, numaLarge}
+)
+
 // Table2 derives the paper's notable-findings table from fresh
 // measurements (Table 2), quoting the measured evidence for each
-// recommendation.
+// recommendation. It runs only the cells its rows quote: two of
+// Figure 9, two of Figure 8 and the two DDIO cache states.
 func Table2(q Quality) (*Table, error) {
 	t := &Table{
 		Title:   "Table 2: Notable findings, derived experimentally",
 		Columns: []string{"Area", "Observation (measured)", "Recommendation"},
 	}
-
-	// IOMMU: throughput collapse beyond the IO-TLB reach.
-	fig9, err := Fig9(q)
+	y, err := readPoints(q, table2Points)
 	if err != nil {
 		return nil, err
 	}
-	s64 := fig9.SeriesByName("64B BW_RD")
-	inReach := s64.YAt(64 << 10)
-	beyond := s64.YAt(16 << 20)
+
+	// IOMMU: throughput collapse beyond the IO-TLB reach.
 	t.Rows = append(t.Rows, []string{
 		"IOMMU (Fig 9)",
-		fmt.Sprintf("64B read bandwidth %.0f%% inside the IO-TLB reach, %.0f%% beyond it", inReach, beyond),
+		fmt.Sprintf("64B read bandwidth %.0f%% inside the IO-TLB reach, %.0f%% beyond it", y[iommuInReach], y[iommuBeyond]),
 		"Co-locate I/O buffers into superpages.",
 	})
 
@@ -513,7 +590,7 @@ func Table2(q Quality) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	warm, cold := ddio.Cells[0].Values[0], ddio.Cells[1].Values[0]
+	warm, cold := ddio[0].Values[0], ddio[1].Values[0]
 	t.Rows = append(t.Rows, []string{
 		"DDIO (Fig 7)",
 		fmt.Sprintf("small reads %.0fns faster when cache resident (%.0f vs %.0f)", cold-warm, warm, cold),
@@ -521,22 +598,16 @@ func Table2(q Quality) (*Table, error) {
 	})
 
 	// NUMA small transfers: remote cache reads cost bandwidth.
-	fig8, err := Fig8(q)
-	if err != nil {
-		return nil, err
-	}
-	n64 := fig8.SeriesByName("64B BW_RD").YAt(64 << 10)
 	t.Rows = append(t.Rows, []string{
 		"NUMA, small transactions (Fig 8)",
-		fmt.Sprintf("64B remote reads lose %.0f%% of bandwidth vs local cache", -n64),
+		fmt.Sprintf("64B remote reads lose %.0f%% of bandwidth vs local cache", -y[numaSmall]),
 		"Place descriptor rings on the node local to the device.",
 	})
 
 	// NUMA large transfers: locality stops mattering.
-	n512 := fig8.SeriesByName("512B BW_RD").YAt(64 << 10)
 	t.Rows = append(t.Rows, []string{
 		"NUMA, large transactions (Fig 8)",
-		fmt.Sprintf("512B remote reads change bandwidth by only %.1f%%", n512),
+		fmt.Sprintf("512B remote reads change bandwidth by only %.1f%%", y[numaLarge]),
 		"Place packet buffers on the node where processing happens.",
 	})
 	return t, nil

@@ -1,8 +1,12 @@
 package report
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"pciebench/internal/stats"
+	"pciebench/internal/sweep"
 )
 
 // skipInShort skips the heavyweight experiment sweeps under
@@ -435,6 +439,106 @@ func TestExpectationsAllPass(t *testing.T) {
 		// else must be ok.
 		if row[4] != "ok" && !strings.Contains(row[2], "deviation") {
 			t.Errorf("%s / %s: paper %s measured %s -> %s", row[0], row[1], row[2], row[3], row[4])
+		}
+	}
+}
+
+// TestTablePointsReadGridCells checks, without simulating, that every
+// point Table 2 and the expectation rows read narrows its figure to a
+// cell of the full grid: each narrowed coordinate is a value string of
+// the registered spec's axis, and the x coordinate is the one
+// Series.YAt(want) selects on the full grid's x values. An edit to an
+// axis or to a row's want then cannot silently read a different cell.
+func TestTablePointsReadGridCells(t *testing.T) {
+	pts := append([]point(nil), table2Points...)
+	for _, c := range checks {
+		if len(c.at) < 1 || len(c.at) > 2 {
+			t.Errorf("%s / %s reads %d points, want 1 or 2", c.exp, c.quantity, len(c.at))
+		}
+		pts = append(pts, c.at...)
+	}
+	for _, p := range pts {
+		if figures[p.fig] == nil {
+			t.Errorf("%+v: no narrowed assembler for %s", p, p.fig)
+			continue
+		}
+		s, err := sweep.ByName(p.fig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.SeedMode != sweep.SeedFixed {
+			t.Errorf("%s: seed mode %q; a narrowed cell matches the grid only under %q", p.fig, s.SeedMode, sweep.SeedFixed)
+		}
+		if s.XAxis != "" && !p.quantile && strings.Contains(p.on, s.XAxis+"=") {
+			t.Errorf("%+v: on narrows the x axis %q itself", p, s.XAxis)
+		}
+		narrowed := map[string]bool{}
+		for _, kv := range p.pick(s) {
+			name, value, _ := strings.Cut(kv, "=")
+			if narrowed[name] {
+				t.Errorf("%+v: axis %q narrowed twice", p, name)
+			}
+			narrowed[name] = true
+			var axis *sweep.Axis
+			for i := range s.Axes {
+				if s.Axes[i].Name == name {
+					axis = &s.Axes[i]
+				}
+			}
+			if axis == nil {
+				t.Errorf("%+v: %q is not an axis of %s", p, name, p.fig)
+				continue
+			}
+			if !slices.Contains(axis.Values, value) {
+				t.Errorf("%+v: %s=%s is not a value of the registered axis %v", p, name, value, axis.Values)
+				continue
+			}
+			if name != s.XAxis {
+				continue
+			}
+			// The full grid's series: x = axis value, y = its index.
+			grid := &stats.Series{}
+			for i, v := range axis.Values {
+				n, err := sweep.ParseSize(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				grid.Append(float64(n), float64(i))
+			}
+			if want := axis.Values[int(grid.YAt(p.x))]; value != want {
+				t.Errorf("%+v: narrows %s to %s, but YAt(%g) on the full grid reads %s", p, name, value, p.x, want)
+			}
+		}
+	}
+}
+
+// TestNarrowedPointsMatchFullFigures checks the narrowed runs against
+// the figures they stand in for: every point Table 2 and the
+// expectation rows read has exactly the value the full figure gives,
+// read the way the rows read it.
+func TestNarrowedPointsMatchFullFigures(t *testing.T) {
+	skipInShort(t)
+	pts := append([]point(nil), table2Points...)
+	for _, c := range checks {
+		pts = append(pts, c.at...)
+	}
+	got, err := readPoints(Quick, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := map[string][]*Figure{}
+	for _, p := range pts {
+		if full[p.fig] == nil {
+			if full[p.fig], err = figures[p.fig](Quick); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := p.read(full[p.fig])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[p] != want {
+			t.Errorf("%+v: narrowed %v, full figure %v", p, got[p], want)
 		}
 	}
 }
