@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover fmt fmt-check vet bench bench-smoke bench-compare serve-smoke chaos-smoke clean
+.PHONY: all build test test-short race cover fuzz-smoke fmt fmt-check vet bench bench-smoke bench-compare serve-smoke chaos-smoke clean
 
 all: build test
 
@@ -38,6 +38,12 @@ cover:
 	echo "total coverage: $$total% (baseline $(COVER_BASELINE)%)"; \
 	awk -v t="$$total" -v b="$(COVER_BASELINE)" 'BEGIN { exit (t+0 < b+0) ? 1 : 0 }' || \
 		{ echo "FAIL: coverage $$total% fell below the $(COVER_BASELINE)% baseline"; exit 1; }
+
+# Fuzzes the strict sweep Spec decoder for 20 s beyond its committed
+# seeds (plain go test runs only the seeds). A failing input is written
+# under internal/sweep/testdata/fuzz/FuzzDecode; commit it with the fix.
+fuzz-smoke:
+	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
 
 fmt:
 	gofmt -w .

@@ -415,14 +415,16 @@ func BenchmarkTopo_Contend4(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg := workload.Config{Seed: 37, BufferBytes: 4 << 20}
+		kernels := make([]*sim.Kernel, len(fab.Endpoints))
 		paths := make([]workload.Path, len(fab.Endpoints))
 		bases := make([]uint64, len(fab.Endpoints))
 		for j, ep := range fab.Endpoints {
 			ep.Buffer.WarmHost(0, cfg.Footprint())
+			kernels[j] = fab.EndpointKernel(j)
 			paths[j] = ep.Port
 			bases[j] = ep.Buffer.DMAAddr(0)
 		}
-		res, err := workload.RunMulti(fab.Kernel, paths, bases, cfg, 1000)
+		res, err := workload.RunMultiKernels(kernels, paths, bases, cfg, 1000, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

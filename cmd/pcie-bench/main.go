@@ -214,7 +214,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return inst.Target(), nil
 		}
 		cfg := bench.DefaultSuite()
-		results, err := bench.RunSuiteParallel(context.Background(), factory, cfg, bench.SuiteOptions{
+		results, err := bench.RunSuite(context.Background(), factory, cfg, bench.SuiteOptions{
 			Workers: *parallel,
 			Seed:    *seed,
 			Progress: func(done, total int) {

@@ -72,9 +72,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := sweep.ValidateSimWorkers(*simPar); err != nil {
 		return err
 	}
-	faultOverrides, err := faultArgs(*ber, *cto, *retrain)
+	faultOverrides, err := sweep.FaultOverrides(*ber, *cto, *retrain)
 	if err != nil {
-		return err
+		return fmt.Errorf("-%w", err)
 	}
 
 	q := report.Quick
@@ -95,29 +95,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unexpected arguments %v (axis overrides need -run or -spec)", cli.Overrides)
 	}
 	return reproduce(*out, *only, q, stdout)
-}
-
-// faultArgs turns the -ber/-cto/-retrain convenience flags into sweep
-// axis overrides, validating values eagerly so a typo fails before any
-// experiment runs.
-func faultArgs(ber, cto, retrain string) ([]string, error) {
-	var overrides []string
-	if ber != "" {
-		if _, err := sweep.ParseBER(ber); err != nil {
-			return nil, fmt.Errorf("-ber: %w", err)
-		}
-		overrides = append(overrides, "ber="+ber)
-	}
-	for _, f := range []struct{ name, val string }{{"cto", cto}, {"retrain", retrain}} {
-		if f.val == "" {
-			continue
-		}
-		if _, err := sweep.ParseDuration(f.val); err != nil {
-			return nil, fmt.Errorf("-%s: %w", f.name, err)
-		}
-		overrides = append(overrides, f.name+"="+f.val)
-	}
-	return overrides, nil
 }
 
 // reproduce regenerates the paper's figures and tables into dir.

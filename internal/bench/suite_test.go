@@ -18,8 +18,23 @@ func TestDefaultSuiteShape(t *testing.T) {
 	}
 }
 
+// serialSuite runs cfg on one worker, every cell on its own netfpga
+// target derived from seed.
+func serialSuite(t *testing.T, cfg SuiteConfig, seed int64, progress func(done, total int)) []SuiteResult {
+	t.Helper()
+	results, err := RunSuite(context.Background(), netfpgaFactory, cfg,
+		SuiteOptions{Workers: 1, Seed: seed, Progress: progress})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+func netfpgaFactory(seed int64) (*Target, error) {
+	return newTestTarget(netfpga.Config(), seed)
+}
+
 func TestRunSuiteSmall(t *testing.T) {
-	tgt := buildTarget(t, netfpga.Config(), 43)
 	cfg := SuiteConfig{
 		Benchmarks:   []string{"LAT_RD", "BW_RD", "BW_WR"},
 		Transfers:    []int{64, 512},
@@ -29,15 +44,12 @@ func TestRunSuiteSmall(t *testing.T) {
 		Transactions: 200,
 	}
 	var calls int
-	results, err := RunSuite(tgt, cfg, func(done, total int) {
+	results := serialSuite(t, cfg, 43, func(done, total int) {
 		calls++
 		if total != cfg.Count() {
 			t.Errorf("total = %d, want %d", total, cfg.Count())
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(results) != cfg.Count() {
 		t.Fatalf("results = %d, want %d", len(results), cfg.Count())
 	}
@@ -62,7 +74,6 @@ func TestRunSuiteSmall(t *testing.T) {
 }
 
 func TestRunSuiteSkipsInvalid(t *testing.T) {
-	tgt := buildTarget(t, netfpga.Config(), 47) // 32MB buffer
 	cfg := SuiteConfig{
 		Benchmarks:   []string{"LAT_RD"},
 		Transfers:    []int{64},
@@ -71,17 +82,13 @@ func TestRunSuiteSkipsInvalid(t *testing.T) {
 		Patterns:     []Pattern{Random},
 		Transactions: 10,
 	}
-	results, err := RunSuite(tgt, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := serialSuite(t, cfg, 47, nil) // 32MB buffer
 	if len(results) != 1 || !results[0].Skipped {
 		t.Errorf("oversized window not skipped: %+v", results)
 	}
 }
 
 func TestRunSuiteUnknownBench(t *testing.T) {
-	tgt := buildTarget(t, netfpga.Config(), 53)
 	cfg := SuiteConfig{
 		Benchmarks:  []string{"NOPE"},
 		Transfers:   []int{64},
@@ -89,10 +96,7 @@ func TestRunSuiteUnknownBench(t *testing.T) {
 		CacheStates: []CacheState{Cold},
 		Patterns:    []Pattern{Random},
 	}
-	results, err := RunSuite(tgt, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := serialSuite(t, cfg, 53, nil)
 	if results[0].Err == nil {
 		t.Error("unknown benchmark accepted")
 	}
@@ -119,11 +123,7 @@ func TestSuiteCellsOrderStable(t *testing.T) {
 	}
 	// Regression: RunSuite's result order is exactly the Cells order
 	// (benchmark-major enumeration), and indices are positional.
-	tgt := buildTarget(t, netfpga.Config(), 61)
-	results, err := RunSuite(tgt, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := serialSuite(t, cfg, 61, nil)
 	for i, c := range cells {
 		if c.Index != i {
 			t.Fatalf("cell %d has index %d", i, c.Index)
@@ -141,11 +141,8 @@ func TestSuiteCellsOrderStable(t *testing.T) {
 
 func TestRunSuiteParallelDeterministic(t *testing.T) {
 	cfg := parallelSuiteConfig()
-	factory := func(seed int64) (*Target, error) {
-		return newTestTarget(netfpga.Config(), seed)
-	}
 	run := func(workers int) string {
-		results, err := RunSuiteParallel(context.Background(), factory, cfg,
+		results, err := RunSuite(context.Background(), netfpgaFactory, cfg,
 			SuiteOptions{Workers: workers, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
@@ -168,12 +165,9 @@ func TestRunSuiteParallelDeterministic(t *testing.T) {
 
 func TestRunSuiteParallelProgressAndErrors(t *testing.T) {
 	cfg := parallelSuiteConfig()
-	factory := func(seed int64) (*Target, error) {
-		return newTestTarget(netfpga.Config(), seed)
-	}
 	var calls int
 	last := 0
-	results, err := RunSuiteParallel(context.Background(), factory, cfg, SuiteOptions{
+	results, err := RunSuite(context.Background(), netfpgaFactory, cfg, SuiteOptions{
 		Workers: 4,
 		Progress: func(done, total int) {
 			calls++
@@ -192,20 +186,19 @@ func TestRunSuiteParallelProgressAndErrors(t *testing.T) {
 
 	// A factory failure aborts the run with an error.
 	bad := func(int64) (*Target, error) { return nil, errors.New("no hardware") }
-	if _, err := RunSuiteParallel(context.Background(), bad, cfg, SuiteOptions{Workers: 2}); err == nil {
+	if _, err := RunSuite(context.Background(), bad, cfg, SuiteOptions{Workers: 2}); err == nil {
 		t.Error("factory error not surfaced")
 	}
 
 	// Cancellation aborts promptly.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunSuiteParallel(ctx, factory, cfg, SuiteOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := RunSuite(ctx, netfpgaFactory, cfg, SuiteOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run returned %v", err)
 	}
 }
 
 func TestRenderSuite(t *testing.T) {
-	tgt := buildTarget(t, netfpga.Config(), 59)
 	cfg := SuiteConfig{
 		Benchmarks:   []string{"LAT_RD", "BW_RD"},
 		Transfers:    []int{64},
@@ -214,11 +207,7 @@ func TestRenderSuite(t *testing.T) {
 		Patterns:     []Pattern{Random},
 		Transactions: 100,
 	}
-	results, err := RunSuite(tgt, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := RenderSuite(results)
+	out := RenderSuite(serialSuite(t, cfg, 59, nil))
 	for _, want := range []string{"bench\twindow", "LAT_RD", "BW_RD", "ok"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)

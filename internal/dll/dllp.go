@@ -1,173 +1,20 @@
-// Package dll implements the PCI Express Data Link Layer.
+// Package dll holds the parts of the PCI Express Data Link Layer the
+// simulator uses.
 //
-// The DLL sits between the transaction layer (internal/tlp) and the
-// physical layer (internal/phy). It provides the three services the spec
-// assigns to it and which the paper's §3 model folds into the ~8-10%
-// bandwidth overhead figure:
+// The paper's §3 model folds the data link layer into a fixed bandwidth
+// overhead: sequence numbers, LCRC and Ack/Nak/UpdateFC DLLPs never
+// appear as events, and the simulator does the same. What remains here
+// is:
 //
-//   - TLP integrity: every TLP is framed with a 12-bit sequence number
-//     and a 32-bit LCRC; receivers acknowledge (Ack) or reject (Nak)
-//     frames, and transmitters keep a replay buffer.
-//   - Flow control: credit accounting per type (Posted, Non-Posted,
-//     Completion) in header and data credit units, advertised and
-//     restored through UpdateFC DLLPs.
-//   - DLLP transport: the 8-byte Data Link Layer Packets that carry the
-//     above, protected by a 16-bit CRC.
-//
-// The implementation is protocol-faithful at packet granularity and is
-// exercised by the protocol tests; the performance tier uses its credit
-// arithmetic and overhead accounting rather than running a full link
-// state machine per simulated transaction.
+//   - flow-control credit accounting per pool (Posted, Non-Posted,
+//     Completion) in header and data credit units: the transmitter's
+//     view (TxCredits) and the receiver's ledger (RxCredits), which
+//     internal/rc's switch ports use to stall a TLP until the far side
+//     drains buffer space;
+//   - WireBytes, the on-wire size of one DLLP, which internal/rc
+//     charges for the Nak that starts a replay.
 package dll
-
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
-
-// DLLPType identifies a Data Link Layer Packet.
-type DLLPType uint8
-
-// DLLP type encodings (PCIe spec §3.4).
-const (
-	DLLPAck         DLLPType = 0x00
-	DLLPNak         DLLPType = 0x10
-	DLLPUpdateFCP   DLLPType = 0x80 // posted
-	DLLPUpdateFCNP  DLLPType = 0x90 // non-posted
-	DLLPUpdateFCCpl DLLPType = 0xA0 // completion
-	DLLPInitFCP     DLLPType = 0x40
-	DLLPInitFCNP    DLLPType = 0x50
-	DLLPInitFCCpl   DLLPType = 0x60
-)
-
-// String returns the spec mnemonic.
-func (t DLLPType) String() string {
-	switch t {
-	case DLLPAck:
-		return "Ack"
-	case DLLPNak:
-		return "Nak"
-	case DLLPUpdateFCP:
-		return "UpdateFC-P"
-	case DLLPUpdateFCNP:
-		return "UpdateFC-NP"
-	case DLLPUpdateFCCpl:
-		return "UpdateFC-Cpl"
-	case DLLPInitFCP:
-		return "InitFC-P"
-	case DLLPInitFCNP:
-		return "InitFC-NP"
-	case DLLPInitFCCpl:
-		return "InitFC-Cpl"
-	}
-	return fmt.Sprintf("DLLP(%#x)", uint8(t))
-}
-
-// DLLP is a Data Link Layer Packet. Ack/Nak carry a sequence number;
-// InitFC/UpdateFC carry header and data credit counts.
-type DLLP struct {
-	Type   DLLPType
-	Seq    uint16 // Ack/Nak: last good (Ack) / last good before error (Nak)
-	HdrFC  uint16 // credit types: 8-bit header credit field
-	DataFC uint16 // credit types: 12-bit data credit field
-}
 
 // WireBytes is the size of every DLLP on the wire: 2 B framing + 4 B
 // payload + 2 B CRC-16.
 const WireBytes = 8
-
-// DLLP encode/decode errors.
-var (
-	ErrDLLPShort = errors.New("dll: DLLP buffer too short")
-	ErrDLLPCRC   = errors.New("dll: DLLP CRC mismatch")
-)
-
-// AppendTo serializes the DLLP (without physical framing), appending 6
-// bytes to dst: type, 3 payload bytes, CRC-16.
-func (d *DLLP) AppendTo(dst []byte) []byte {
-	var payload [4]byte
-	payload[0] = uint8(d.Type)
-	switch d.Type {
-	case DLLPAck, DLLPNak:
-		binary.BigEndian.PutUint16(payload[2:], d.Seq&0xFFF)
-	default:
-		// Credit DLLPs: HdrFC[7:0] in byte1[5:0]+byte2[7:6],
-		// DataFC[11:0] in byte2[3:0]+byte3. We use a simplified
-		// packing with the same field widths.
-		payload[1] = uint8(d.HdrFC) // 8-bit header credits
-		binary.BigEndian.PutUint16(payload[2:], d.DataFC&0xFFF)
-	}
-	dst = append(dst, payload[:]...)
-	crc := CRC16(payload[:])
-	return binary.BigEndian.AppendUint16(dst, crc)
-}
-
-// DecodeDLLP parses a 6-byte DLLP, verifying its CRC.
-func DecodeDLLP(b []byte) (DLLP, error) {
-	if len(b) < 6 {
-		return DLLP{}, ErrDLLPShort
-	}
-	want := binary.BigEndian.Uint16(b[4:6])
-	if CRC16(b[:4]) != want {
-		return DLLP{}, ErrDLLPCRC
-	}
-	d := DLLP{Type: DLLPType(b[0])}
-	switch d.Type {
-	case DLLPAck, DLLPNak:
-		d.Seq = binary.BigEndian.Uint16(b[2:4]) & 0xFFF
-	default:
-		d.HdrFC = uint16(b[1])
-		d.DataFC = binary.BigEndian.Uint16(b[2:4]) & 0xFFF
-	}
-	return d, nil
-}
-
-// CRC16 computes the PCIe DLLP CRC (polynomial 0x100B, initial value
-// 0xFFFF, output complemented), bit-serial implementation.
-func CRC16(data []byte) uint16 {
-	const poly = 0x100B
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		for i := 7; i >= 0; i-- {
-			bit := (b >> uint(i)) & 1
-			fb := (crc>>15)&1 ^ uint16(bit)
-			crc <<= 1
-			if fb != 0 {
-				crc ^= poly
-			}
-		}
-	}
-	return ^crc
-}
-
-// CRC32 computes the LCRC protecting each TLP. PCIe uses the IEEE 802.3
-// generator polynomial 0x04C11DB7 with init 0xFFFFFFFF and complemented
-// output; this is a non-reflected bit-serial implementation.
-func CRC32(data []byte) uint32 {
-	const poly = 0x04C11DB7
-	crc := uint32(0xFFFFFFFF)
-	for _, b := range data {
-		crc ^= uint32(b) << 24
-		for i := 0; i < 8; i++ {
-			if crc&0x80000000 != 0 {
-				crc = crc<<1 ^ poly
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return ^crc
-}
-
-// SeqDistance returns the forward distance from sequence a to b in the
-// 12-bit circular sequence space.
-func SeqDistance(a, b uint16) int {
-	return int((b - a) & 0xFFF)
-}
-
-// SeqLessEq reports whether a <= b in the modular ordering given that
-// their true distance is less than half the sequence space.
-func SeqLessEq(a, b uint16) bool {
-	return SeqDistance(a, b) < 2048
-}

@@ -41,9 +41,7 @@ func init() {
 // the full grid does, and the assemblers shape it into the same point.
 func runSpec(s *sweep.Spec, q Quality, picks ...[]string) ([]sweep.CellResult, error) {
 	if len(picks) == 0 {
-		res, err := s.Run(context.Background(), sweep.RunOptions{
-			Workers: Parallelism(), Quality: q,
-		})
+		res, _, err := (&sweep.Engine{Workers: Parallelism(), Quality: q}).Run(context.Background(), s)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +64,7 @@ func runSpec(s *sweep.Spec, q Quality, picks ...[]string) ([]sweep.CellResult, e
 	// A table's pick selects one cell, so the pool runs picks, not the
 	// cells within one.
 	parts, err := runUnits(narrowed, func(n *sweep.Spec) ([]sweep.CellResult, error) {
-		res, err := n.Run(context.Background(), sweep.RunOptions{Workers: 1, Quality: q})
+		res, _, err := (&sweep.Engine{Workers: 1, Quality: q}).Run(context.Background(), n)
 		if err != nil {
 			return nil, err
 		}

@@ -228,27 +228,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// ?ber=, ?cto= and ?retrain= are sugar for set=<key>=...: fault
 	// injection is a first-class what-if axis, so each knob gets a
 	// dedicated query parameter with the same validation surface.
-	if ber := q.Get("ber"); ber != "" {
-		if _, err := sweep.ParseBER(ber); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		overrides = append(overrides, "ber="+ber)
+	faults, err := sweep.FaultOverrides(q.Get("ber"), q.Get("cto"), q.Get("retrain"))
+	if err != nil {
+		apiError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	if cto := q.Get("cto"); cto != "" {
-		if _, err := sweep.ParseDuration(cto); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		overrides = append(overrides, "cto="+cto)
-	}
-	if retrain := q.Get("retrain"); retrain != "" {
-		if _, err := sweep.ParseDuration(retrain); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		overrides = append(overrides, "retrain="+retrain)
-	}
+	overrides = append(overrides, faults...)
 	if err := spec.ApplyOverrides(overrides); err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return

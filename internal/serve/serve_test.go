@@ -9,6 +9,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -541,4 +544,49 @@ func TestFaultQueryParameters(t *testing.T) {
 			t.Errorf("%s: 400 body %s does not explain the bad duration", bad, raw)
 		}
 	}
+}
+
+// TestOversizedGridRejected: a few kilobytes of spec that name billions
+// of cells, or more than an int holds, get a 400 before any cell is
+// expanded — as a raw spec or as overrides on a registered sweep — and
+// the server keeps serving.
+func TestOversizedGridRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+
+	var bodies []string
+	for _, name := range []string{"grid-overflow.json", "grid-4e9.json"} {
+		raw, err := os.ReadFile(filepath.Join("..", "sweep", "testdata", "hostile", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, string(raw))
+	}
+	forty := make([]string, 40)
+	for i := range forty {
+		forty[i] = strconv.Itoa(i + 1)
+	}
+	var overrides []string
+	for _, key := range []string{"transfer", "window", "n", "mps", "mrrs", "offset"} {
+		overrides = append(overrides, key+"="+strings.Join(forty, ","))
+	}
+	env, _ := json.Marshal(map[string]any{"run": "topo-contend", "overrides": overrides})
+	bodies = append(bodies, string(env))
+
+	for i, body := range bodies {
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("body %d: %v", i, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %d: %d %s (want 400)", i, resp.StatusCode, raw)
+		}
+		if !strings.Contains(string(raw), "more than 65536 cells") {
+			t.Errorf("body %d: 400 body %s does not name the grid bound", i, raw)
+		}
+	}
+
+	sub := submit(t, ts, testSpec, "")
+	waitState(t, ts, sub.ID, StateDone)
 }

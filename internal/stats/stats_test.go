@@ -17,6 +17,10 @@ func TestSummarizeBasic(t *testing.T) {
 	if s.N != 3 || s.Min != 1 || s.Max != 3 || s.Median != 2 || s.Mean != 2 {
 		t.Errorf("summary = %+v", s)
 	}
+	// Population standard deviation: sqrt(((3-2)^2+(1-2)^2+0)/3).
+	if want := math.Sqrt(2.0 / 3); math.Abs(s.StdDev-want) > 1e-12 {
+		t.Errorf("StdDev = %v, want %v", s.StdDev, want)
+	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
@@ -164,43 +168,6 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{-1, 0, 5, 15, 25, 95, 100, 200}, 0, 100, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2 (100 and 200)", h.Over)
-	}
-	if h.Counts[0] != 2 { // 0 and 5
-		t.Errorf("bin 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 || h.Counts[2] != 1 || h.Counts[9] != 1 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	if h.Samples != 8 {
-		t.Errorf("Samples = %d", h.Samples)
-	}
-	if got := h.Mode(); got != 5 {
-		t.Errorf("Mode = %v, want 5 (midpoint of bin 0)", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(nil, 0, 1, 1); err != ErrNoSamples {
-		t.Error("empty histogram")
-	}
-	if _, err := NewHistogram([]float64{1}, 0, 1, 0); err == nil {
-		t.Error("0 bins accepted")
-	}
-	if _, err := NewHistogram([]float64{1}, 5, 1, 4); err == nil {
-		t.Error("hi<lo accepted")
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Name = "bw"
@@ -222,36 +189,6 @@ func TestSeries(t *testing.T) {
 	tsv := s.TSV()
 	if !strings.HasPrefix(tsv, "# bw\n") || !strings.Contains(tsv, "64\t30.5") {
 		t.Errorf("TSV = %q", tsv)
-	}
-}
-
-func TestWelfordMatchesSummarize(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	samples := make([]float64, 1000)
-	var w Welford
-	for i := range samples {
-		samples[i] = rng.NormFloat64()*10 + 500
-		w.Add(samples[i])
-	}
-	s, _ := Summarize(samples)
-	if w.N() != s.N {
-		t.Errorf("N: %d vs %d", w.N(), s.N)
-	}
-	if math.Abs(w.Mean()-s.Mean) > 1e-9 {
-		t.Errorf("Mean: %v vs %v", w.Mean(), s.Mean)
-	}
-	if math.Abs(w.StdDev()-s.StdDev) > 1e-6 {
-		t.Errorf("StdDev: %v vs %v", w.StdDev(), s.StdDev)
-	}
-	if w.Min() != s.Min || w.Max() != s.Max {
-		t.Errorf("Min/Max: %v/%v vs %v/%v", w.Min(), w.Max(), s.Min, s.Max)
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if w.Variance() != 0 || w.N() != 0 {
-		t.Error("zero-value Welford not zero")
 	}
 }
 

@@ -24,15 +24,6 @@ var emitters = map[string]Emitter{
 	"ndjson": emitNDJSON,
 }
 
-// Emitters returns a copy of the format registry (name -> emitter).
-func Emitters() map[string]Emitter {
-	out := make(map[string]Emitter, len(emitters))
-	for name, e := range emitters {
-		out[name] = e
-	}
-	return out
-}
-
 // Formats returns the supported emitter format names, sorted.
 func Formats() []string {
 	out := make([]string, 0, len(emitters))

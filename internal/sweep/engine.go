@@ -246,13 +246,3 @@ func (st *streamState) flushLocked() {
 		}
 	}
 }
-
-// Run validates the spec, expands the grid and executes every cell on
-// the worker pool — the historical uncached entry point, now a thin
-// wrapper over the Engine. Cells are independent units, so results are
-// collected in enumeration order and identical at any worker count.
-func (s *Spec) Run(ctx context.Context, opt RunOptions) (*Result, error) {
-	e := &Engine{Workers: opt.Workers, SimWorkers: opt.SimWorkers, Quality: opt.Quality, Progress: opt.Progress}
-	res, _, err := e.Run(ctx, s)
-	return res, err
-}

@@ -132,23 +132,6 @@ type Result struct {
 	Cells []CellResult
 }
 
-// RunOptions tunes a Spec.Run call.
-type RunOptions struct {
-	// Workers is the runner pool size; <= 0 selects GOMAXPROCS. The
-	// result is byte-identical for every value.
-	Workers int
-	// SimWorkers is the per-cell island-parallel simulation
-	// budget for multi-endpoint workload fabrics; <= 1 (the default)
-	// simulates serially. Like Workers, results are byte-identical for
-	// every value.
-	SimWorkers int
-	// Quality resolves transaction counts left at zero.
-	Quality Quality
-	// Progress, when non-nil, receives (done, total) as cells become
-	// available in enumeration order; calls are serialized.
-	Progress func(done, total int)
-}
-
 // MaxSimWorkers bounds the per-simulation parallelism the run surfaces
 // (CLI flags, the service's ?simworkers=) accept; islands are capped
 // by the 64-endpoint shape limit, so more workers than that can never

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"sort"
 	"strconv"
@@ -310,8 +311,8 @@ func (c *Config) usesFabric() bool {
 
 // ParseSize parses an integer with an optional K/M/G binary suffix
 // ("8K" -> 8192).
-func ParseSize(s string) (int, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
+func ParseSize(in string) (int, error) {
+	s := strings.TrimSpace(strings.ToUpper(in))
 	mult := 1
 	switch {
 	case strings.HasSuffix(s, "G"):
@@ -324,6 +325,9 @@ func ParseSize(s string) (int, error) {
 	v, err := strconv.Atoi(s)
 	if err != nil {
 		return 0, fmt.Errorf("sweep: bad size %q", s)
+	}
+	if v > math.MaxInt/mult || v < math.MinInt/mult {
+		return 0, fmt.Errorf("sweep: bad size %q: overflows int", in)
 	}
 	return v * mult, nil
 }
@@ -361,6 +365,30 @@ func ParseBER(s string) (float64, error) {
 		return 0, fmt.Errorf("sweep: bit error rate %q outside [0, 1)", s)
 	}
 	return b, nil
+}
+
+// FaultOverrides validates the ber/cto/retrain shorthands that the
+// CLIs' fault flags and the service's fault query parameters offer, and
+// returns them as "key=value" overrides in that order. Empty values are
+// skipped. An error names the key and wraps the parse error.
+func FaultOverrides(ber, cto, retrain string) ([]string, error) {
+	var overrides []string
+	if ber != "" {
+		if _, err := ParseBER(ber); err != nil {
+			return nil, fmt.Errorf("ber: %w", err)
+		}
+		overrides = append(overrides, "ber="+ber)
+	}
+	for _, f := range []struct{ key, val string }{{"cto", cto}, {"retrain", retrain}} {
+		if f.val == "" {
+			continue
+		}
+		if _, err := ParseDuration(f.val); err != nil {
+			return nil, fmt.Errorf("%s: %w", f.key, err)
+		}
+		overrides = append(overrides, f.key+"="+f.val)
+	}
+	return overrides, nil
 }
 
 func parseBool(s string) (bool, error) {
@@ -718,11 +746,26 @@ func resolveConfig(kv map[string]string) (Config, error) {
 	return cfg, nil
 }
 
-// Count returns how many cells the grid expands to.
+// MaxCells bounds the cells one grid may expand to, and the cell-probe
+// pairs it runs. Validate rejects a larger spec before expanding it, so
+// a short spec from outside cannot make the engine allocate or resolve
+// billions of cells. The largest registered grid (fig4) has 102 cells.
+const MaxCells = 1 << 16
+
+// Count returns how many cells the grid expands to, saturating at
+// math.MaxInt instead of overflowing.
 func (s *Spec) Count() int {
 	n := 1
 	for _, a := range s.Axes {
-		n *= len(a.Values)
+		v := len(a.Values)
+		if v == 0 {
+			return 0
+		}
+		if n > math.MaxInt/v {
+			n = math.MaxInt
+			continue
+		}
+		n *= v
 	}
 	return n
 }
@@ -855,6 +898,13 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sweep: spec %q: duplicate axis %q", s.Name, a.Name)
 		}
 		seen[a.Name] = true
+	}
+	if s.Count() > MaxCells {
+		return fmt.Errorf("sweep: spec %q: grid expands to more than %d cells", s.Name, MaxCells)
+	}
+	if s.Count()*len(s.probes()) > MaxCells {
+		return fmt.Errorf("sweep: spec %q: %d cells x %d probes is more than %d cell runs",
+			s.Name, s.Count(), len(s.probes()), MaxCells)
 	}
 	for k := range s.Base {
 		if !isKnownKey(k) {

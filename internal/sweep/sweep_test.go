@@ -25,6 +25,9 @@ func TestParseSize(t *testing.T) {
 		{"", 0, false},
 		{"x", 0, false},
 		{"4KB", 0, false},
+		{"9223372036854775807K", 0, false}, // v*mult overflows int
+		{"-9223372036854775807K", 0, false},
+		{"8589934591G", 8589934591 << 30, true}, // the largest G size that fits
 	}
 	for _, c := range cases {
 		got, err := ParseSize(c.in)
@@ -196,6 +199,14 @@ func TestValidateErrors(t *testing.T) {
 			s.SharedInstance = true
 			s.Probes = []Probe{{Set: map[string]string{"iommu": "true"}}}
 		},
+		// One cell past MaxCells, and MaxCells cells times two probes.
+		func(s *Spec) {
+			s.Axes = []Axis{
+				{Name: "transfer", Values: make([]string, 256)},
+				{Name: "window", Values: make([]string, MaxCells/256+1)},
+			}
+		},
+		func(s *Spec) { s.Probes = make([]Probe, MaxCells/s.Count()+1) },
 	}
 	for i, mutate := range cases {
 		s := testSpec()
@@ -295,7 +306,7 @@ func TestEmitters(t *testing.T) {
 	if _, err := EmitterFor("yaml"); err == nil {
 		t.Error("unknown format accepted")
 	}
-	res, err := testSpec().Run(context.Background(), RunOptions{Workers: 2})
+	res, _, err := (&Engine{Workers: 2}).Run(context.Background(), testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +344,7 @@ func TestContrastRun(t *testing.T) {
 		Contrast: &Contrast{Set: map[string]string{"iommu": "true"}},
 		SeedMode: SeedFixed,
 	}
-	res, err := s.Run(context.Background(), RunOptions{})
+	res, _, err := (&Engine{}).Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +371,7 @@ func TestSharedInstanceRun(t *testing.T) {
 			{Label: "second"},
 		},
 	}
-	res, err := s.Run(context.Background(), RunOptions{})
+	res, _, err := (&Engine{}).Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}

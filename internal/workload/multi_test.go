@@ -3,6 +3,7 @@ package workload_test
 import (
 	"testing"
 
+	"pciebench/internal/sim"
 	"pciebench/internal/sysconf"
 	"pciebench/internal/topo"
 	"pciebench/internal/workload"
@@ -28,6 +29,16 @@ func multiFabric(t *testing.T, n int) *topo.Fabric {
 	return fab
 }
 
+// endpointKernels lists each endpoint's island kernel, the kernel slice
+// RunMultiKernels takes.
+func endpointKernels(fab *topo.Fabric) []*sim.Kernel {
+	ks := make([]*sim.Kernel, len(fab.Endpoints))
+	for i := range ks {
+		ks[i] = fab.EndpointKernel(i)
+	}
+	return ks
+}
+
 // TestRunMultiAggregates checks the multi-endpoint bookkeeping: every
 // endpoint completes its pairs, the aggregate counts add up, and the
 // per-endpoint breakdown carries populated latency summaries.
@@ -42,7 +53,7 @@ func TestRunMultiAggregates(t *testing.T) {
 		paths[i] = ep.Port
 		bases[i] = ep.Buffer.DMAAddr(0)
 	}
-	res, err := workload.RunMulti(fab.Kernel, paths, bases, cfg, pairs)
+	res, err := workload.RunMultiKernels(endpointKernels(fab), paths, bases, cfg, pairs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +98,7 @@ func TestRunMultiDeterministic(t *testing.T) {
 		for _, ep := range fab.Endpoints {
 			ep.Buffer.WarmHost(0, cfg.Footprint())
 		}
-		res, err := workload.RunMulti(fab.Kernel, paths, bases, cfg, 200)
+		res, err := workload.RunMultiKernels(endpointKernels(fab), paths, bases, cfg, 200, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +117,20 @@ func TestRunMultiDeterministic(t *testing.T) {
 func TestRunMultiValidation(t *testing.T) {
 	fab := multiFabric(t, 2)
 	paths := []workload.Path{fab.Endpoints[0].Port}
-	if _, err := workload.RunMulti(fab.Kernel, nil, nil, workload.Config{}, 10); err == nil {
+	one := []*sim.Kernel{fab.Kernel}
+	if _, err := workload.RunMultiKernels(nil, paths, []uint64{0}, workload.Config{}, 10, 1); err == nil {
+		t.Error("no kernels accepted")
+	}
+	if _, err := workload.RunMultiKernels(one, nil, nil, workload.Config{}, 10, 1); err == nil {
 		t.Error("no paths accepted")
 	}
-	if _, err := workload.RunMulti(fab.Kernel, paths, nil, workload.Config{}, 10); err == nil {
+	if _, err := workload.RunMultiKernels(endpointKernels(fab), paths, []uint64{0}, workload.Config{}, 10, 1); err == nil {
+		t.Error("mismatched kernels accepted")
+	}
+	if _, err := workload.RunMultiKernels(one, paths, nil, workload.Config{}, 10, 1); err == nil {
 		t.Error("mismatched bases accepted")
 	}
-	if _, err := workload.RunMulti(fab.Kernel, paths, []uint64{0}, workload.Config{}, 0); err == nil {
+	if _, err := workload.RunMultiKernels(one, paths, []uint64{0}, workload.Config{}, 0, 1); err == nil {
 		t.Error("zero pairs accepted")
 	}
 }

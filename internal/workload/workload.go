@@ -690,34 +690,23 @@ type MultiResult struct {
 	Endpoints []EndpointResult `json:"endpoints"`
 }
 
-// RunMulti drives the same workload on every path concurrently — one
-// independent engine state per endpoint, all sharing the kernel, so
-// their traffic contends for whatever the topology shares (a switch
-// uplink, the root-complex pipeline, the LLC). bases[i] is endpoint
-// i's buffer base address; each endpoint's workload randomness is
-// decorrelated from cfg.Seed by its index. Every endpoint completes
-// pairsEach packet pairs.
-func RunMulti(k *sim.Kernel, paths []Path, bases []uint64, cfg Config, pairsEach int) (*MultiResult, error) {
-	kernels := make([]*sim.Kernel, len(paths))
-	for i := range kernels {
-		kernels[i] = k
-	}
-	if len(paths) == 0 {
-		kernels = []*sim.Kernel{k} // let RunMultiKernels report "no paths"
-	}
-	return RunMultiKernels(kernels, paths, bases, cfg, pairsEach, 1)
-}
-
-// RunMultiKernels is RunMulti for a partitioned fabric: kernels[i] is
-// the event kernel endpoint i's simulation island runs on, and every
-// endpoint that shares simulation state with another must share its
-// kernel. The kernels are deduplicated (in first-appearance order) into
-// domains; a single domain runs exactly like RunMulti, several run
-// concurrently on up to workers goroutines via sim.NewParallel. Islands
-// exchange no events, so each runs to completion on its own. State
-// construction, start-event scheduling and result collection all
-// happen in global endpoint order, which keeps results byte-identical
-// to the serial single-kernel run at every worker count.
+// RunMultiKernels drives the same workload on every path concurrently —
+// one independent engine state per endpoint, so their traffic contends
+// for whatever the topology shares (a switch uplink, the root-complex
+// pipeline, the LLC). bases[i] is endpoint i's buffer base address;
+// each endpoint's workload randomness is decorrelated from cfg.Seed by
+// its index. Every endpoint completes pairsEach packet pairs.
+//
+// kernels[i] is the event kernel endpoint i's simulation island runs
+// on, and every endpoint that shares simulation state with another must
+// share its kernel. The kernels are deduplicated (in first-appearance
+// order) into domains; a single domain runs on the calling goroutine,
+// several run concurrently on up to workers goroutines via
+// sim.NewParallel. Islands exchange no events, so each runs to
+// completion on its own. State construction, start-event scheduling
+// and result collection all happen in global endpoint order, which
+// keeps results byte-identical to the serial single-kernel run at every
+// worker count.
 func RunMultiKernels(kernels []*sim.Kernel, paths []Path, bases []uint64, cfg Config, pairsEach, workers int) (*MultiResult, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("workload: no kernels")
