@@ -2,6 +2,7 @@ package iommu
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"pciebench/internal/sim"
@@ -346,5 +347,82 @@ func TestWalkerThroughputCap(t *testing.T) {
 	want := sim.Time(n/6) * 330 * sim.Nanosecond
 	if worst != want {
 		t.Errorf("60 misses on 6 walkers finish at %v, want %v", worst, want)
+	}
+}
+
+// Translate's check of the most recently used entry before the mapping
+// search and the index is exact: a run through Translate gives the same
+// results, counters and IO-TLB order as a reference that always takes
+// the indexed path. Small IO-TLBs make every install evict the head
+// entry itself; InvalidateAll and Unmap (with a remap to a new PA)
+// empty it.
+func TestHeadCheckExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, entries := range []int{1, 2, 4, 64} {
+		_, got := newTestIOMMU(entries, 2)
+		_, ref := newTestIOMMU(entries, 2)
+		mapAll := func(pa uint64) {
+			for _, u := range []*IOMMU{got, ref} {
+				if err := u.Map(0, pa, 8*Page4K, Page4K); err != nil {
+					t.Fatal(err)
+				}
+				if err := u.Map(Page2M, pa+Page2M, 2*Page2M, Page2M); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		mapAll(1 << 30)
+		headHits := 0
+		at := sim.Time(0)
+		for op := 0; op < 5000; op++ {
+			switch k := rng.Intn(100); {
+			case k == 0:
+				got.InvalidateAll()
+				ref.InvalidateAll()
+			case k == 1:
+				for _, u := range []*IOMMU{got, ref} {
+					if err := u.Unmap(0); err != nil {
+						t.Fatal(err)
+					}
+					if err := u.Unmap(Page2M); err != nil {
+						t.Fatal(err)
+					}
+				}
+				mapAll(uint64(1+rng.Intn(4)) << 31)
+			default:
+				// A 4K page, a 2M page, or an unmapped hole.
+				iova := uint64(rng.Intn(8 * Page4K))
+				if rng.Intn(3) == 0 {
+					iova = Page2M + uint64(rng.Intn(2*Page2M))
+				}
+				if rng.Intn(20) == 0 {
+					iova = 9 * Page4K
+				}
+				if h := got.head; h >= 0 && iova&^(got.tlb[h].key.pageSize-1) == got.tlb[h].key.pageBase {
+					headHits++
+				}
+				at += sim.Time(rng.Intn(200)) * sim.Nanosecond
+				rg, eg := got.Translate(at, iova)
+				rr, er := ref.translateIndexed(at, iova)
+				if rg != rr || (eg == nil) != (er == nil) {
+					t.Fatalf("entries %d op %d: Translate(%#x) = %+v, %v; reference %+v, %v", entries, op, iova, rg, eg, rr, er)
+				}
+			}
+			if got.Hits != ref.Hits || got.Misses != ref.Misses || got.Faults != ref.Faults {
+				t.Fatalf("entries %d op %d: hits/misses/faults %d/%d/%d, reference %d/%d/%d",
+					entries, op, got.Hits, got.Misses, got.Faults, ref.Hits, ref.Misses, ref.Faults)
+			}
+			if got.head != ref.head || got.tail != ref.tail || len(got.tlb) != len(ref.tlb) {
+				t.Fatalf("entries %d op %d: IO-TLB list differs from the reference", entries, op)
+			}
+			for i := range got.tlb {
+				if got.tlb[i] != ref.tlb[i] {
+					t.Fatalf("entries %d op %d: slot %d = %+v, reference %+v", entries, op, i, got.tlb[i], ref.tlb[i])
+				}
+			}
+		}
+		if headHits < 500 {
+			t.Errorf("entries %d: only %d lookups hit the head entry", entries, headHits)
+		}
 	}
 }

@@ -292,28 +292,75 @@ func (c *Cache) DeviceRead(addr uint64) AccessResult {
 func (c *Cache) DeviceWrite(addr uint64, fullLine bool) AccessResult {
 	c.tick()
 	tag := c.lineOf(addr)
-	ways := c.set(tag % c.nsets)
+	s := tag % c.nsets
+	ways := c.set(s)
 	if i := c.lookup(ways, tag); i >= 0 {
 		c.touch(&ways[i], true)
 		c.Hits++
 		return AccessResult{Hit: true}
 	}
 	c.Misses++
-	res := AccessResult{Fetched: !fullLine}
+	return AccessResult{Fetched: !fullLine, EvictedDirty: c.allocDDIO(ways, s, tag)}
+}
+
+// allocDDIO places the device-written line tag in set s, whose ways
+// (nil while unallocated) missed it, and reports whether that evicted
+// a dirty line.
+func (c *Cache) allocDDIO(ways []way, s, tag uint64) (evictedDirty bool) {
 	if ways == nil {
-		ways = c.place(tag % c.nsets)
+		ways = c.place(s)
 	}
 	v := c.victimDDIO(ways)
 	if st := c.stateOf(&ways[v]); st == Dirty {
 		c.Writebacks++
-		res.EvictedDirty = true
+		evictedDirty = true
 		c.Evictions++
 	} else if st != Invalid {
 		c.Evictions++
 	}
 	ways[v] = c.fill(tag, dirtyBit|ddioBit)
 	c.cold = false
-	return res
+	return evictedDirty
+}
+
+// deviceSpan performs a device read or write of the size bytes at addr
+// (one line when size < 1): the same as DeviceRead(a), or
+// DeviceWrite(a, the write covers a's whole line), for each line a in
+// ascending order. It reports whether any line had to be fetched from
+// memory. The set index is divided out once and then advanced with the
+// line, so a multi-line transfer pays one division, not one per line.
+func (c *Cache) deviceSpan(write bool, addr uint64, size int) (fetched bool) {
+	lo := c.lineOf(addr)
+	hi := lo + 1
+	if size > 0 {
+		hi = c.lineOf(addr+uint64(size)-1) + 1
+	}
+	// Only the end lines can be partial: the first when addr is not
+	// line-aligned, the last when the transfer ends inside it.
+	line := uint64(c.cfg.LineSize)
+	end := addr + uint64(max(size, 0))
+	for t, s := lo, lo%c.nsets; t < hi; t++ {
+		c.tick()
+		ways := c.set(s)
+		if i := c.lookup(ways, t); i >= 0 {
+			c.touch(&ways[i], write)
+			c.Hits++
+		} else {
+			c.Misses++
+			if !write {
+				fetched = true
+			} else {
+				if (t == lo && addr != lo*line) || (t == hi-1 && end != hi*line) {
+					fetched = true
+				}
+				c.allocDDIO(ways, s, t)
+			}
+		}
+		if s++; s == c.nsets {
+			s = 0
+		}
+	}
+	return fetched
 }
 
 // HostTouch simulates the CPU reading (write=false) or writing

@@ -45,7 +45,6 @@ func (c Config) Validate() error {
 type System struct {
 	cfg   Config
 	nodes []*Cache
-	line  uint64 // resolved line size (cfg value, 64 when unset)
 }
 
 // NewSystem builds the memory system.
@@ -56,10 +55,6 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{cfg: cfg}
 	for i := 0; i < cfg.Nodes; i++ {
 		s.nodes = append(s.nodes, NewCache(cfg.Cache))
-	}
-	s.line = uint64(cfg.Cache.LineSize)
-	if s.line == 0 {
-		s.line = 64
 	}
 	return s, nil
 }
@@ -93,66 +88,16 @@ func (s *System) AccessFrom(write bool, from, home int, addr uint64, size int) s
 	if home < 0 || home >= len(s.nodes) {
 		home = 0
 	}
-	llc := s.nodes[home]
-	line := s.line
-	first := addr / line * line
-
-	// Fast path for the dominant case — a transfer of at most one line
-	// (the paper's 64 B working size) that does not straddle a line
-	// boundary: exactly one cache access, no per-line loop. The
-	// latencies are the same max the general loop would compute, since
-	// DRAMLatency >= LLCLatency is enforced by Validate.
-	if uint64(size) <= line && addr+uint64(size) <= first+line {
-		var lat sim.Time
-		if write {
-			r := llc.DeviceWrite(first, addr == first && uint64(size) == line)
-			if r.Fetched {
-				lat = s.cfg.DRAMLatency
-			} else {
-				lat = s.cfg.LLCLatency
-			}
-		} else {
-			if llc.DeviceRead(first).Hit {
-				lat = s.cfg.LLCLatency
-			} else {
-				lat = s.cfg.DRAMLatency
-			}
-		}
-		if home != from {
-			lat += s.cfg.RemoteLatency
-		}
-		return lat
-	}
-
-	worst := s.cfg.LLCLatency
-	for a := first; a < addr+uint64(size); a += line {
-		var lat sim.Time
-		if write {
-			// A write covers the whole line when it spans
-			// [a, a+line) entirely.
-			fullLine := addr <= a && addr+uint64(size) >= a+line
-			r := llc.DeviceWrite(a, fullLine)
-			if r.Fetched {
-				lat = s.cfg.DRAMLatency
-			} else {
-				lat = s.cfg.LLCLatency
-			}
-		} else {
-			r := llc.DeviceRead(a)
-			if r.Hit {
-				lat = s.cfg.LLCLatency
-			} else {
-				lat = s.cfg.DRAMLatency
-			}
-		}
-		if lat > worst {
-			worst = lat
-		}
+	// DRAMLatency >= LLCLatency (Validate), so the worst line is DRAM
+	// as soon as any line had to be fetched.
+	lat := s.cfg.LLCLatency
+	if s.nodes[home].deviceSpan(write, addr, size) {
+		lat = s.cfg.DRAMLatency
 	}
 	if home != from {
-		worst += s.cfg.RemoteLatency
+		lat += s.cfg.RemoteLatency
 	}
-	return worst
+	return lat
 }
 
 // WarmHost writes the byte ranges spans, in order, from the CPU on the
@@ -173,11 +118,8 @@ func (s *System) WarmDevice(node int, addr uint64, size int) {
 	if node < 0 || node >= len(s.nodes) {
 		node = 0
 	}
-	llc := s.nodes[node]
-	line := s.line
-	first := addr / line * line
-	for a := first; a < addr+uint64(size); a += line {
-		llc.DeviceWrite(a, true)
+	if size > 0 {
+		s.nodes[node].deviceSpan(true, addr, size)
 	}
 }
 

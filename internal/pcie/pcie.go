@@ -249,13 +249,15 @@ func (c LinkConfig) MRdTLPs(sz int) int {
 }
 
 // CplDTLPs returns how many Completion-with-Data TLPs carry the sz bytes
-// of read data back (one per MPS chunk; RCB alignment can add more — see
-// tlp.SplitCompletion for exact accounting).
+// of read data back. Completions cannot span requests, so each
+// MRRS-sized request is answered in its own MPS chunks; RCB alignment
+// can add more (see tlp.SplitCompletion for exact accounting).
 func (c LinkConfig) CplDTLPs(sz int) int {
 	if sz <= 0 {
 		return 0
 	}
-	return (sz + c.MPS - 1) / c.MPS
+	full, rem := sz/c.MRRS, sz%c.MRRS
+	return full*((c.MRRS+c.MPS-1)/c.MPS) + (rem+c.MPS-1)/c.MPS
 }
 
 // WriteBytes returns the bytes placed on the device→host direction by a

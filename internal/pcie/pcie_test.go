@@ -127,6 +127,44 @@ func TestTLPCounts(t *testing.T) {
 	}
 }
 
+// CplDTLPs must count completions request by request: a read of sz
+// bytes issues MRRS-sized requests and each is answered in MPS-sized
+// completions of its own, even when MRRS < MPS.
+func TestCplDTLPsPerRequest(t *testing.T) {
+	brute := func(c LinkConfig, sz int) int {
+		n := 0
+		for left := sz; left > 0; left -= c.MRRS {
+			req := min(left, c.MRRS)
+			n += (req + c.MPS - 1) / c.MPS
+		}
+		return n
+	}
+	sizes := []int{128, 256, 512, 1024, 2048, 4096}
+	for gen := Gen1; gen <= Gen5; gen++ {
+		for _, mps := range sizes {
+			for _, mrrs := range sizes {
+				c := DefaultGen3x8()
+				c.Gen, c.MPS, c.MRRS = gen, mps, mrrs
+				if err := c.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				for sz := 1; sz <= 9000; sz++ {
+					if got, want := c.CplDTLPs(sz), brute(c, sz); got != want {
+						t.Fatalf("%v: CplDTLPs(%d) = %d, want %d", c, sz, got, want)
+					}
+				}
+			}
+		}
+	}
+	// The case the per-transfer count got wrong: MRRS 128 below MPS
+	// 256 needs one completion per 128 B request.
+	c := DefaultGen3x8()
+	c.MRRS = 128
+	if got := c.CplDTLPs(1024); got != 8 {
+		t.Errorf("MPS 256 MRRS 128: CplDTLPs(1024) = %d, want 8", got)
+	}
+}
+
 func TestWireByteEquations(t *testing.T) {
 	c := DefaultGen3x8()
 	// Equation 1: a 512B write = 2 TLPs x 24B header + 512B payload.

@@ -3,7 +3,6 @@ package rc
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"pciebench/internal/sim"
 )
@@ -60,7 +59,12 @@ func (q *QuantileJitter) Sample(rng *rand.Rand) sim.Time {
 	if u >= pts[len(pts)-1].P {
 		return pts[len(pts)-1].Delay
 	}
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].P >= u })
+	// The first point with P >= u; a linear scan, since a model has a
+	// handful of points.
+	i := 1
+	for pts[i].P < u {
+		i++
+	}
 	lo, hi := pts[i-1], pts[i]
 	frac := (u - lo.P) / (hi.P - lo.P)
 	return lo.Delay + sim.Time(frac*float64(hi.Delay-lo.Delay))

@@ -369,6 +369,8 @@ func (p *Port) DMAReadOrdered(at sim.Time, dma uint64, sz int, orderAfter sim.Ti
 	if tp := p.r.peerOf(dma); tp != nil && tp != p {
 		return p.peerRead(at, tp, dma, sz, orderAfter)
 	}
+	// MRRS, MPS and RCB are powers of two (pcie.LinkConfig.Validate),
+	// so every chunk boundary below is a mask, not a division.
 	cfg := &p.cfg
 	mrrs := uint64(cfg.Link.MRRS)
 	mps := cfg.Link.MPS
@@ -382,7 +384,7 @@ func (p *Port) DMAReadOrdered(at sim.Time, dma uint64, sz int, orderAfter sim.Ti
 	remaining := sz
 	for remaining > 0 {
 		n := remaining
-		if boundary := (pos/mrrs + 1) * mrrs; pos+uint64(n) > boundary {
+		if boundary := pos&^(mrrs-1) + mrrs; pos+uint64(n) > boundary {
 			n = int(boundary - pos)
 		}
 		// Request serializes on the device->host direction.
@@ -414,7 +416,7 @@ func (p *Port) DMAReadOrdered(at sim.Time, dma uint64, sz int, orderAfter sim.Ti
 		crem := n
 		for crem > 0 {
 			c := mps
-			if mis := int(cpos % rcb); mis != 0 {
+			if mis := int(cpos & (rcb - 1)); mis != 0 {
 				c = int(rcb) - mis
 			}
 			if c > crem {
@@ -464,7 +466,7 @@ func (p *Port) DMAWrite(at sim.Time, dma uint64, sz int) (WriteResult, error) {
 		return p.peerWrite(at, tp, dma, sz)
 	}
 	cfg := &p.cfg
-	mps := uint64(cfg.Link.MPS)
+	mps := uint64(cfg.Link.MPS) // a power of two: boundaries are masks
 
 	res := WriteResult{}
 	p.stats.WriteOps++
@@ -474,7 +476,7 @@ func (p *Port) DMAWrite(at sim.Time, dma uint64, sz int) (WriteResult, error) {
 	remaining := sz
 	for remaining > 0 {
 		n := remaining
-		if boundary := (pos/mps + 1) * mps; pos+uint64(n) > boundary {
+		if boundary := pos&^(mps-1) + mps; pos+uint64(n) > boundary {
 			n = int(boundary - pos)
 		}
 		wire := p.wrHdr + n
@@ -599,7 +601,7 @@ func (p *Port) peerWrite(at sim.Time, tp *Port, dma uint64, sz int) (WriteResult
 	remaining := sz
 	for remaining > 0 {
 		n := remaining
-		if boundary := (pos/mps + 1) * mps; pos+uint64(n) > boundary {
+		if boundary := pos&^(mps-1) + mps; pos+uint64(n) > boundary {
 			n = int(boundary - pos)
 		}
 		wire := p.wrHdr + n
@@ -639,7 +641,7 @@ func (p *Port) peerRead(at sim.Time, tp *Port, dma uint64, sz int, orderAfter si
 	remaining := sz
 	for remaining > 0 {
 		n := remaining
-		if boundary := (pos/mrrs + 1) * mrrs; pos+uint64(n) > boundary {
+		if boundary := pos&^(mrrs-1) + mrrs; pos+uint64(n) > boundary {
 			n = int(boundary - pos)
 		}
 		txDone := p.up.ScheduleAt(at, p.reqTime)
@@ -656,7 +658,7 @@ func (p *Port) peerRead(at sim.Time, tp *Port, dma uint64, sz int, orderAfter si
 		crem := n
 		for crem > 0 {
 			c := mps
-			if mis := int(cpos % rcb); mis != 0 {
+			if mis := int(cpos & (rcb - 1)); mis != 0 {
 				c = int(rcb) - mis
 			}
 			if c > crem {

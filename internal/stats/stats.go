@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -34,38 +35,25 @@ type Summary struct {
 // Summarize computes a Summary over samples. The input slice is not
 // modified.
 func Summarize(samples []Sample) (Summary, error) {
-	var sc Scratch
-	return sc.Summarize(samples)
+	return SummarizeSorted(sortedCopy(samples))
 }
 
-// Scratch is a reusable sort buffer for summary and quantile
-// computations. The zero value is ready to use; reusing one Scratch
-// across calls (per-queue latency summaries, sweep probes) avoids the
-// copy-and-sort allocation that Summarize/Quantiles otherwise pay per
-// call. A Scratch is not safe for concurrent use.
-type Scratch struct {
-	buf []float64
+// sortedCopy returns an ascending copy of samples.
+func sortedCopy(samples []Sample) []float64 {
+	sorted := make([]float64, len(samples))
+	copy(sorted, samples)
+	sort.Float64s(sorted)
+	return sorted
 }
 
-// sorted copies samples into the scratch buffer and sorts it.
-func (sc *Scratch) sorted(samples []Sample) []float64 {
-	if cap(sc.buf) < len(samples) {
-		sc.buf = make([]float64, len(samples))
-	}
-	s := sc.buf[:len(samples)]
-	copy(s, samples)
-	sort.Float64s(s)
-	return s
-}
-
-// Summarize computes a Summary over samples using the scratch buffer.
-// The input slice is not modified. Results are identical to the
-// package-level Summarize.
-func (sc *Scratch) Summarize(samples []Sample) (Summary, error) {
-	if len(samples) == 0 {
+// SummarizeSorted computes a Summary over samples already in the
+// ascending order sort.Float64s leaves them in. It equals Summarize of
+// any permutation of sorted, bit for bit: the sums are taken in sorted
+// order either way.
+func SummarizeSorted(sorted []Sample) (Summary, error) {
+	if len(sorted) == 0 {
 		return Summary{}, ErrNoSamples
 	}
-	sorted := sc.sorted(samples)
 	var sum, sumsq float64
 	for _, v := range sorted {
 		sum += v
@@ -90,15 +78,77 @@ func (sc *Scratch) Summarize(samples []Sample) (Summary, error) {
 	}, nil
 }
 
-// Quantiles computes several quantiles of samples into dst (grown as
-// needed) using the scratch buffer, with the same interpolation as the
-// package-level Quantiles. The input slice is not modified.
-func (sc *Scratch) Quantiles(dst []float64, samples []Sample, qs ...float64) ([]float64, error) {
+// Merge appends the values of runs, each in ascending order, to dst in
+// ascending order and returns the extended slice: the order
+// sort.Float64s leaves the runs' concatenation in (NaNs first), so
+// summaries of already-sorted sample sets combine without a re-sort.
+// It takes O(n log k) comparisons for n values in k runs.
+func Merge(dst []float64, runs ...[]float64) []float64 {
+	// h is a binary min-heap of the non-empty runs' unconsumed
+	// suffixes, ordered by their first values.
+	h := make([][]float64, 0, len(runs))
+	total := 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			h = append(h, r)
+			total += len(r)
+		}
+	}
+	dst = slices.Grow(dst, total)
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 1 {
+		r := h[0]
+		dst = append(dst, r[0])
+		if len(r) > 1 {
+			h[0] = r[1:]
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	if len(h) == 1 {
+		dst = append(dst, h[0]...)
+	}
+	return dst
+}
+
+// siftDown restores Merge's heap order below h[i].
+func siftDown(h [][]float64, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && less(h[l][0], h[m][0]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && less(h[r][0], h[m][0]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// less is sort.Float64s's order: ascending, with NaNs first.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// Quantiles computes several quantiles of samples in one pass: the
+// input is copied and sorted once, then each quantile is extracted
+// with the same interpolation as Quantile. It is the multi-percentile
+// counterpart of Quantile for callers that need an arbitrary set;
+// Summarize's fixed p50/p95/p99/p99.9 columns are built from the same
+// interpolation, and the tests pin the two paths to agree exactly. The
+// input slice is not modified.
+func Quantiles(samples []Sample, qs ...float64) ([]float64, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
 	}
-	sorted := sc.sorted(samples)
-	dst = dst[:0]
+	sorted := sortedCopy(samples)
+	dst := make([]float64, 0, len(qs))
 	for _, q := range qs {
 		dst = append(dst, quantileSorted(sorted, q))
 	}
@@ -117,21 +167,7 @@ func Quantile(samples []Sample, q float64) (float64, error) {
 	if len(samples) == 0 {
 		return 0, ErrNoSamples
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q), nil
-}
-
-// Quantiles returns several quantiles of samples in one pass — the
-// input is copied and sorted once, then each quantile is extracted
-// with the same interpolation as Quantile. It is the multi-percentile
-// counterpart of Quantile for callers that need an arbitrary set;
-// Summarize's fixed p50/p95/p99/p99.9 columns are built from the same
-// interpolation, and the tests pin the two paths to agree exactly.
-func Quantiles(samples []Sample, qs ...float64) ([]float64, error) {
-	var sc Scratch
-	return sc.Quantiles(make([]float64, 0, len(qs)), samples, qs...)
+	return quantileSorted(sortedCopy(samples), q), nil
 }
 
 func quantileSorted(sorted []float64, q float64) float64 {
@@ -164,9 +200,7 @@ func NewCDF(samples []Sample) (*CDF, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoSamples
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
+	sorted := sortedCopy(samples)
 	c := &CDF{}
 	n := float64(len(sorted))
 	for i := 0; i < len(sorted); i++ {

@@ -212,3 +212,75 @@ func TestSummaryOrderingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Summaries of sorted runs combined by Merge equal the summary of the
+// runs' concatenation bit for bit, Mean and StdDev included: the merge
+// rebuilds exactly the sorted order whose sums Summarize takes.
+func TestMergeSummarizeSortedExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	draw := func(n int, dups bool) []Sample {
+		s := make([]Sample, n)
+		for i := range s {
+			s[i] = rng.ExpFloat64()*700 + 100
+			if dups {
+				s[i] = float64(rng.Intn(20)) * 12.5 // many equal values
+			}
+		}
+		return s
+	}
+	cases := map[string][][]Sample{
+		"one run":       {draw(1000, false)},
+		"empty runs":    {nil, draw(300, false), {}, draw(5, false), nil},
+		"duplicates":    {draw(400, true), draw(400, true), draw(3, true)},
+		"eight runs":    {draw(10, false), draw(900, false), draw(1, false), draw(77, true), draw(256, false), draw(2, true), draw(640, false), draw(33, false)},
+		"single values": {{3}, {1}, {2}, {1}},
+	}
+	for name, runs := range cases {
+		var concat []Sample
+		sorted := make([][]float64, len(runs))
+		for i, r := range runs {
+			concat = append(concat, r...)
+			sorted[i] = append([]float64(nil), r...)
+			sort.Float64s(sorted[i])
+		}
+		want, err := Summarize(concat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged := Merge(nil, sorted...)
+		got, err := SummarizeSorted(merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: merged summary %+v, want %+v", name, got, want)
+		}
+		sort.Float64s(concat)
+		for i := range concat {
+			if math.Float64bits(merged[i]) != math.Float64bits(concat[i]) {
+				t.Fatalf("%s: merged[%d] = %v, sorted %v", name, i, merged[i], concat[i])
+			}
+		}
+	}
+	if got := Merge(nil, nil, []float64{}); len(got) != 0 {
+		t.Errorf("Merge of empty runs = %v", got)
+	}
+	if _, err := SummarizeSorted(Merge(nil)); err != ErrNoSamples {
+		t.Errorf("SummarizeSorted of nothing: err = %v", err)
+	}
+}
+
+// Merge orders NaNs first, as sort.Float64s does, and appends to dst.
+func TestMergeNaNAndAppend(t *testing.T) {
+	nan := math.NaN()
+	got := Merge([]float64{-1}, []float64{nan, 1, 4}, []float64{0, 2}, []float64{nan, nan, 3})
+	want := []float64{-1, nan, nan, nan, 0, 1, 2, 3, 4}
+	if len(got) != len(want) {
+		t.Fatalf("Merge = %v, want %v", got, want)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("Merge = %v, want %v", got, want)
+		}
+	}
+}

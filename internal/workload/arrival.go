@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -50,8 +51,8 @@ type timedArrival struct {
 }
 
 func newTimed(pps float64, burst int, poisson bool) (Arrival, error) {
-	if pps <= 0 {
-		return nil, fmt.Errorf("workload: arrival rate %v pps, want > 0", pps)
+	if !(pps > 0) || math.IsInf(pps, 0) {
+		return nil, fmt.Errorf("workload: arrival rate %v pps, want finite and > 0", pps)
 	}
 	if burst < 1 {
 		burst = 1
@@ -111,7 +112,7 @@ func ParseRate(s string) (float64, error) {
 		mult, s = 1e3, strings.TrimSuffix(s, "K")
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v <= 0 {
+	if err != nil || !(v > 0) || math.IsInf(v*mult, 0) {
 		return 0, fmt.Errorf("workload: bad rate %q", s)
 	}
 	return v * mult, nil

@@ -45,6 +45,7 @@ func TestParseArrivalErrors(t *testing.T) {
 	for _, in := range []string{
 		"burst", "rate", "rate:", "rate:-1", "rate:x", "poisson",
 		"poisson:1M:burst=0", "poisson:1M:burst=x", "poisson:1M:frob=2", "drizzle:1M",
+		"rate:nan", "rate:inf", "poisson:1e308G", // not a finite rate
 	} {
 		if _, err := ParseArrival(in); err == nil {
 			t.Errorf("%q accepted, want error", in)
@@ -113,7 +114,7 @@ func TestParseRate(t *testing.T) {
 			t.Errorf("%q = %v, want %v", in, got, want)
 		}
 	}
-	for _, in := range []string{"", "x", "-1M", "0"} {
+	for _, in := range []string{"", "x", "-1M", "0", "NaN", "+Inf", "1e300G"} {
 		if _, err := ParseRate(in); err == nil {
 			t.Errorf("%q accepted", in)
 		}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -78,6 +79,9 @@ func HistogramDist(points []SizePoint, label string) (SizeDist, error) {
 		}
 		if p.Weight <= 0 {
 			return nil, fmt.Errorf("workload: histogram size %d has weight %d, want > 0", p.Size, p.Weight)
+		}
+		if p.Weight > math.MaxInt-d.total {
+			return nil, fmt.Errorf("workload: histogram weights overflow at size %d", p.Size)
 		}
 		d.total += p.Weight
 		d.cum = append(d.cum, d.total)

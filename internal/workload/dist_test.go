@@ -38,6 +38,7 @@ func TestParseSizeDistErrors(t *testing.T) {
 	for _, in := range []string{
 		"", "bogus", "0", "-5", "100000", "uniform:1518-64", "uniform:64",
 		"uniform:a-b", "hist:", "hist:64", "hist:64=0", "hist:64=x", "hist:0=1",
+		"hist:64=9223372036854775807,128=1", // total weight overflows
 	} {
 		if _, err := ParseSizeDist(in); err == nil {
 			t.Errorf("%q accepted, want error", in)

@@ -28,6 +28,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 
 	"pciebench/internal/fault"
@@ -388,7 +389,7 @@ type runState struct {
 	arrived int
 	endAt   sim.Time
 	err     error
-	lat     []float64  // aggregate completion latencies (pooled)
+	lat     []float64  // every queue's latencies, merged by collect (pooled)
 	latPtr  *[]float64 // pool box, round-tripped back on Put
 	closed  bool
 }
@@ -408,7 +409,6 @@ func (e pairDoneEvent) Handle(k *sim.Kernel, a, b int64) {
 	qs.bytes += int64(size)
 	sample := (k.Now() - sim.Time(b)).Nanoseconds()
 	qs.lat = append(qs.lat, sample)
-	s.lat = append(s.lat, sample)
 	s.done++
 	if s.done == s.pairs {
 		s.endAt = k.Now()
@@ -604,8 +604,10 @@ func (s *runState) finished() error {
 }
 
 // collect assembles the state's Result for a run that started at
-// start. Rates use the state's own completion horizon.
-func (s *runState) collect(start sim.Time, scratch *stats.Scratch) *Result {
+// start. Rates use the state's own completion horizon. It sorts each
+// queue's latencies in place, once, and merges them into s.lat, which
+// then holds the run's latencies in ascending order.
+func (s *runState) collect(start sim.Time) *Result {
 	elapsed := s.endAt - start
 	secs := elapsed.Seconds()
 	res := &Result{
@@ -615,6 +617,7 @@ func (s *runState) collect(start sim.Time, scratch *stats.Scratch) *Result {
 		OfferedPPS: s.cfg.Arrival.OfferedPPS(),
 	}
 	var totalBytes int64
+	runs := make([][]float64, len(s.queues))
 	for q := range s.queues {
 		qs := &s.queues[q]
 		totalBytes += qs.bytes
@@ -624,13 +627,16 @@ func (s *runState) collect(start sim.Time, scratch *stats.Scratch) *Result {
 			PPS:   float64(qs.pairs) / secs,
 			Gbps:  float64(qs.bytes) * 8 / secs / 1e9,
 		}
+		sort.Float64s(qs.lat)
 		if len(qs.lat) > 0 {
-			st.Latency, _ = scratch.Summarize(qs.lat)
+			st.Latency, _ = stats.SummarizeSorted(qs.lat)
 		}
+		runs[q] = qs.lat
 		res.Queues = append(res.Queues, st)
 	}
 	res.GbpsPerDirection = float64(totalBytes) * 8 / secs / 1e9
-	res.Latency, _ = scratch.Summarize(s.lat)
+	s.lat = stats.Merge(s.lat[:0], runs...)
+	res.Latency, _ = stats.SummarizeSorted(s.lat)
 	return res
 }
 
@@ -657,8 +663,7 @@ func Run(k *sim.Kernel, complex *rc.RootComplex, bufDMA uint64, cfg Config, pair
 	if err := s.finished(); err != nil {
 		return nil, err
 	}
-	var scratch stats.Scratch
-	return s.collect(start, &scratch), nil
+	return s.collect(start), nil
 }
 
 // EndpointResult is one endpoint's share of a multi-endpoint run.
@@ -754,8 +759,7 @@ func RunMultiKernels(kernels []*sim.Kernel, paths []Path, bases []uint64, cfg Co
 	}
 
 	res := &MultiResult{}
-	var scratch stats.Scratch
-	var allLat []float64
+	runs := make([][]float64, len(states))
 	var totalBytes int64
 	for i, s := range states {
 		if err := s.finished(); err != nil {
@@ -765,16 +769,16 @@ func RunMultiKernels(kernels []*sim.Kernel, paths []Path, bases []uint64, cfg Co
 			res.Elapsed = d
 		}
 		res.Pairs += s.pairs
-		allLat = append(allLat, s.lat...)
 		for q := range s.queues {
 			totalBytes += s.queues[q].bytes
 		}
-		res.Endpoints = append(res.Endpoints, EndpointResult{Endpoint: i, Result: *s.collect(starts[i], &scratch)})
+		res.Endpoints = append(res.Endpoints, EndpointResult{Endpoint: i, Result: *s.collect(starts[i])})
+		runs[i] = s.lat // sorted by collect
 	}
 	secs := res.Elapsed.Seconds()
 	res.PPS = float64(res.Pairs) / secs
 	res.GbpsPerDirection = float64(totalBytes) * 8 / secs / 1e9
-	res.Latency, _ = scratch.Summarize(allLat)
+	res.Latency, _ = stats.SummarizeSorted(stats.Merge(nil, runs...))
 	return res, nil
 }
 
