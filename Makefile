@@ -40,14 +40,17 @@ cover:
 		{ echo "FAIL: coverage $$total% fell below the $(COVER_BASELINE)% baseline"; exit 1; }
 
 # Fuzzes the strict sweep Spec decoder for 20 s, then the size,
-# arrival and IOMMU-scope parsers for 5 s each, beyond their committed
-# seeds (plain go test runs only the seeds). A failing input is written
-# under the package's testdata/fuzz/<target>; commit it with the fix.
+# arrival and IOMMU-scope parsers, the TLP decoder and the trace
+# journal reader for 5 s each, beyond their committed seeds (plain go
+# test runs only the seeds). A failing input is written under the
+# package's testdata/fuzz/<target>; commit it with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/sweep -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 20s
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzParseSizeDist$$' -fuzztime 5s
 	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzParseArrival$$' -fuzztime 5s
 	$(GO) test ./internal/topo -run '^$$' -fuzz '^FuzzParseIOMMUScope$$' -fuzztime 5s
+	$(GO) test ./internal/tlp -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 5s
 
 fmt:
 	gofmt -w .

@@ -415,16 +415,14 @@ func BenchmarkTopo_Contend4(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg := workload.Config{Seed: 37, BufferBytes: 4 << 20}
-		kernels := make([]*sim.Kernel, len(fab.Endpoints))
 		paths := make([]workload.Path, len(fab.Endpoints))
 		bases := make([]uint64, len(fab.Endpoints))
 		for j, ep := range fab.Endpoints {
 			ep.Buffer.WarmHost(0, cfg.Footprint())
-			kernels[j] = fab.EndpointKernel(j)
 			paths[j] = ep.Port
 			bases[j] = ep.Buffer.DMAAddr(0)
 		}
-		res, err := workload.RunMultiKernels(kernels, paths, bases, cfg, 1000, 1)
+		res, err := workload.RunMulti(fab.Kernel, paths, bases, cfg, 1000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -434,11 +432,10 @@ func BenchmarkTopo_Contend4(b *testing.B) {
 	b.ReportMetric(p99, "ns-p99")
 }
 
-// fabricSpec derives a partitionable contention fabric from the BDW
-// calibration: eight sockets, endpoints round-robined across them with
-// socket-local buffers, so simWorkers > 1 splits the build into eight
-// independent simulation islands.
-func fabricSpec(b *testing.B, endpoints, simWorkers int) topo.Spec {
+// fabricSpec derives a contention fabric from the BDW calibration:
+// eight sockets, endpoints round-robined across them with socket-local
+// buffers.
+func fabricSpec(b *testing.B, endpoints int) topo.Spec {
 	b.Helper()
 	const sockets = 8
 	sys, err := sysconf.ByName("NFP6000-BDW")
@@ -469,19 +466,15 @@ func fabricSpec(b *testing.B, endpoints, simWorkers int) topo.Spec {
 		ep.BufferNode = i % sockets
 		spec.Endpoints = append(spec.Endpoints, ep)
 	}
-	spec.SimWorkers = simWorkers
 	return spec
 }
 
-// benchFabric builds the fabric and drives the traffic engine; serial
-// and parallel variants below differ only in the simWorkers knob, so
-// their ns/op delta is the coordinator overhead (this is a 1-core
-// host: the parallel build buys determinism headroom, not speedup).
-func benchFabric(b *testing.B, endpoints, simWorkers, pairs int) {
+// benchFabric builds the fabric and drives the traffic engine.
+func benchFabric(b *testing.B, endpoints, pairs int) {
 	b.ReportAllocs()
 	var pps float64
 	for i := 0; i < b.N; i++ {
-		fab, err := topo.Build(fabricSpec(b, endpoints, simWorkers))
+		fab, err := topo.Build(fabricSpec(b, endpoints))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -495,26 +488,16 @@ func benchFabric(b *testing.B, endpoints, simWorkers, pairs int) {
 	b.ReportMetric(float64(endpoints), "endpoints")
 }
 
-// BenchmarkFabricSerial is the reference: the contention fabrics
-// simulated by the single shared event kernel.
+// BenchmarkFabricSerial simulates the contention fabrics on their one
+// event kernel.
 func BenchmarkFabricSerial(b *testing.B) {
-	b.Run("8ep", func(b *testing.B) { benchFabric(b, 8, 1, 400) })
-	b.Run("64ep", func(b *testing.B) { benchFabric(b, 64, 1, 60) })
+	b.Run("8ep", func(b *testing.B) { benchFabric(b, 8, 400) })
+	b.Run("64ep", func(b *testing.B) { benchFabric(b, 64, 60) })
 }
 
-// BenchmarkFabricParallel partitions the same fabrics into eight
-// islands (simworkers=4); results are byte-identical to the serial
-// runs, so the comparison isolates the partitioned-kernel overhead.
-func BenchmarkFabricParallel(b *testing.B) {
-	b.Run("8ep", func(b *testing.B) { benchFabric(b, 8, 4, 400) })
-	b.Run("64ep", func(b *testing.B) { benchFabric(b, 64, 4, 60) })
-}
-
-// benchFabricCoupled drives a coupled topology — every endpoint behind
-// one shared gen3x8 switch, a single simulation island — at the given
-// simulation worker count. A single island always runs on one kernel,
-// so results and cost should match at every worker count.
-func benchFabricCoupled(b *testing.B, endpoints, simWorkers, pairs int) {
+// benchFabricCoupled drives a coupled topology: every endpoint behind
+// one shared gen3x8 switch.
+func benchFabricCoupled(b *testing.B, endpoints, pairs int) {
 	b.ReportAllocs()
 	sys, err := sysconf.ByName("NFP6000-BDW")
 	if err != nil {
@@ -524,7 +507,7 @@ func benchFabricCoupled(b *testing.B, endpoints, simWorkers, pairs int) {
 	var pps float64
 	for i := 0; i < b.N; i++ {
 		fab, err := sys.Fabric(topo.Shape{Endpoints: endpoints, Switch: &uplink},
-			sysconf.Options{Seed: 37, BufferSize: 1 << 20, NoJitter: true, SimWorkers: simWorkers})
+			sysconf.Options{Seed: 37, BufferSize: 1 << 20, NoJitter: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -538,19 +521,11 @@ func benchFabricCoupled(b *testing.B, endpoints, simWorkers, pairs int) {
 	b.ReportMetric(float64(endpoints), "endpoints")
 }
 
-// BenchmarkFabricCoupledSerial is the coupled reference: the shared
-// switch simulated inline on the one event kernel.
+// BenchmarkFabricCoupledSerial simulates the shared switch inline on
+// the one event kernel.
 func BenchmarkFabricCoupledSerial(b *testing.B) {
-	b.Run("8ep", func(b *testing.B) { benchFabricCoupled(b, 8, 1, 400) })
-	b.Run("64ep", func(b *testing.B) { benchFabricCoupled(b, 64, 1, 60) })
-}
-
-// BenchmarkFabricCoupledParallel asks for four simulation workers on
-// the same fabrics; their one island still runs on one kernel, so this
-// pins that a worker budget costs a single-island fabric nothing.
-func BenchmarkFabricCoupledParallel(b *testing.B) {
-	b.Run("8ep", func(b *testing.B) { benchFabricCoupled(b, 8, 4, 400) })
-	b.Run("64ep", func(b *testing.B) { benchFabricCoupled(b, 64, 4, 60) })
+	b.Run("8ep", func(b *testing.B) { benchFabricCoupled(b, 8, 400) })
+	b.Run("64ep", func(b *testing.B) { benchFabricCoupled(b, 64, 60) })
 }
 
 // BenchmarkIOMMUTranslate pins the translation hot path at zero
@@ -602,14 +577,12 @@ func BenchmarkIOMMUTranslate(b *testing.B) {
 }
 
 // benchFabricIOMMU drives the split fabric with every DMA translated:
-// per-socket scope gives each socket its own DRHD-style unit, so the
-// fabric still partitions into islands and the serial/parallel delta
-// isolates the coordinator overhead with translation in the hot path.
-func benchFabricIOMMU(b *testing.B, endpoints, simWorkers, pairs int) {
+// per-socket scope gives each socket its own DRHD-style unit.
+func benchFabricIOMMU(b *testing.B, endpoints, pairs int) {
 	b.ReportAllocs()
 	var pps float64
 	for i := 0; i < b.N; i++ {
-		spec := fabricSpec(b, endpoints, simWorkers)
+		spec := fabricSpec(b, endpoints)
 		cfg := iommu.DefaultConfig()
 		spec.IOMMU = &cfg
 		spec.IOMMUScope = topo.IOMMUScopePerSocket
@@ -627,19 +600,11 @@ func benchFabricIOMMU(b *testing.B, endpoints, simWorkers, pairs int) {
 	b.ReportMetric(float64(endpoints), "endpoints")
 }
 
-// BenchmarkFabricIOMMUSerial is the translated reference: per-socket
-// units on the single shared event kernel.
+// BenchmarkFabricIOMMUSerial simulates the translated fabrics, their
+// per-socket units on the one event kernel.
 func BenchmarkFabricIOMMUSerial(b *testing.B) {
-	b.Run("8ep", func(b *testing.B) { benchFabricIOMMU(b, 8, 1, 400) })
-	b.Run("64ep", func(b *testing.B) { benchFabricIOMMU(b, 64, 1, 60) })
-}
-
-// BenchmarkFabricIOMMUParallel partitions the same translated fabrics
-// (simworkers=4): each island's unit binds to that island's kernel, and
-// results stay byte-identical to the serial runs.
-func BenchmarkFabricIOMMUParallel(b *testing.B) {
-	b.Run("8ep", func(b *testing.B) { benchFabricIOMMU(b, 8, 4, 400) })
-	b.Run("64ep", func(b *testing.B) { benchFabricIOMMU(b, 64, 4, 60) })
+	b.Run("8ep", func(b *testing.B) { benchFabricIOMMU(b, 8, 400) })
+	b.Run("64ep", func(b *testing.B) { benchFabricIOMMU(b, 64, 60) })
 }
 
 // BenchmarkTopo_P2P compares device-to-device DMA against the bounce

@@ -120,7 +120,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		socketSel = fs.String("socket", "", "topology: endpoint placement (socket index or split)")
 		localBuf  = fs.Bool("local-buffers", false, "topology: home each endpoint's DMA buffer on its own socket's NUMA node")
 		noJitter  = fs.Bool("nojitter", false, "disable root-complex latency jitter")
-		simPar    = fs.Int("sim-parallel", 1, "simulation workers "+sweep.SimWorkersRange()+" for partitionable multi-endpoint fabrics (1 = serial; results are byte-identical for any value)")
 		p2pMode   = fs.String("p2p", "direct", "p2p: transfer path (direct or bounce)")
 
 		// Fault-injection knobs (internal/fault); all off by default.
@@ -129,9 +128,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		retrainSel = fs.String("retrain", "", "fault injection: mean time between link retrain events, e.g. 1ms (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := sweep.ValidateSimWorkers(*simPar); err != nil {
 		return err
 	}
 
@@ -189,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cli := &sweep.CLI{
 		List: *sweeps, RunName: *runName, SpecPath: *specPath,
 		Overrides: fs.Args(), Format: *format,
-		Workers: *parallel, SimWorkers: *simPar, Quality: q, CacheDir: *cacheDir,
+		Workers: *parallel, Quality: q, CacheDir: *cacheDir,
 	}
 	if cli.Active() {
 		return cli.Execute(context.Background(), stdout, stderr)
@@ -246,7 +242,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		SuperPages: *sp,
 		BufferNode: *node,
 		NoJitter:   *noJitter,
-		SimWorkers: *simPar,
 		Faults:     faults,
 	}
 	shape := topo.Shape{Endpoints: *endpoints, Placement: *socketSel, LocalBuffers: *localBuf}
@@ -261,9 +256,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *benchSel == "p2p" {
-		// Peer-to-peer traffic crosses simulation domains, so p2p always
-		// builds serially (matching the sweep engine's policy).
-		opts.SimWorkers = 1
 		endpointsSet := false
 		fs.Visit(func(f *flag.Flag) {
 			if f.Name == "endpoints" {

@@ -56,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		full     = fs.Bool("full", false, "paper-scale sample counts (slower)")
 		only     = fs.String("only", "", "run a single experiment (fig1..fig9, table1, table2)")
 		parallel = fs.Int("parallel", 0, "experiment worker count (0 = GOMAXPROCS); output is identical for any value")
-		simPar   = fs.Int("sim-parallel", 1, "simulation workers "+sweep.SimWorkersRange()+" for partitionable multi-endpoint fabric cells (1 = serial; output is identical for any value)")
 		list     = fs.Bool("list", false, "list registered sweeps and exit")
 		runName  = fs.String("run", "", "run one registered sweep; remaining args override axes (e.g. gen=4,5 lanes=16)")
 		specPath = fs.String("spec", "", "run a custom sweep from a JSON spec file; remaining args override axes")
@@ -67,9 +66,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		retrain  = fs.String("retrain", "", "with -run/-spec: override the link-retrain MTBF axis (e.g. 50us)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := sweep.ValidateSimWorkers(*simPar); err != nil {
 		return err
 	}
 	faultOverrides, err := sweep.FaultOverrides(*ber, *cto, *retrain)
@@ -86,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cli := &sweep.CLI{
 		List: *list, RunName: *runName, SpecPath: *specPath,
 		Overrides: append(fs.Args(), faultOverrides...), Format: *format,
-		Workers: *parallel, SimWorkers: *simPar, Quality: q, CacheDir: *cacheDir,
+		Workers: *parallel, Quality: q, CacheDir: *cacheDir,
 	}
 	if cli.Active() {
 		return cli.Execute(context.Background(), stdout, stderr)

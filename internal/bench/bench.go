@@ -369,6 +369,16 @@ func BwWr(t *Target, p Params) (*BandwidthResult, error) { return runBandwidth(t
 // compete with MWr TLPs for the device→host direction (§4.2).
 func BwRdWr(t *Target, p Params) (*BandwidthResult, error) { return runBandwidth(t, p, bwRdWr) }
 
+// primeEvent opens a saturation run: at the run's start it submits a
+// burst of transactions (its first argument) through submit.
+type primeEvent struct{ submit func() }
+
+func (e primeEvent) Handle(_ *sim.Kernel, burst, _ int64) {
+	for i := int64(0); i < burst; i++ {
+		e.submit()
+	}
+}
+
 // runBandwidth keeps the DMA engine saturated: an initial burst fills
 // the in-flight window (the paper uses 96 worker threads on the NFP and
 // back-to-back issue on NetFPGA); every completion submits the next
@@ -426,15 +436,11 @@ func runBandwidth(t *Target, p Params, kind bwKind) (*BandwidthResult, error) {
 		})
 	}
 	// Prime the pipeline: the engine queues what it cannot start.
-	k.After(0, func() {
-		burst := 2 * t.Engine.Config().MaxInFlight
-		if burst > total {
-			burst = total
-		}
-		for i := 0; i < burst; i++ {
-			submit()
-		}
-	})
+	burst := 2 * t.Engine.Config().MaxInFlight
+	if burst > total {
+		burst = total
+	}
+	k.AfterEvent(0, primeEvent{submit}, int64(burst), 0)
 	k.Run()
 	if rerr != nil {
 		return nil, rerr

@@ -29,12 +29,11 @@
 //
 // Every fault decision draws from a dedicated splitmix64 Stream keyed
 // by (endpoint, fault class) — never from the kernel RNG or the
-// per-island jitter streams — and draws happen in fabric-call order,
-// which the coupled-replay machinery keeps identical at every
-// simworkers count. That is the whole determinism argument: same
-// seed, same call order, same draws, byte-identical results at any
-// parallelism. A nil/zero Config installs nothing at all, so
-// fault-free runs execute exactly the pre-fault code path.
+// root-complex jitter streams — and draws happen in fabric-call order,
+// which the fabric's one event kernel fixes. That is the whole
+// determinism argument: same seed, same call order, same draws,
+// byte-identical results. A nil/zero Config installs nothing at all,
+// so fault-free runs execute exactly the pre-fault code path.
 //
 // Outcomes surface as per-endpoint AER-style Counters
 // (correctable/non-fatal/fatal plus replay/timeout/retrain event
@@ -210,14 +209,12 @@ func (c *Counters) Add(o Counters) {
 
 // streamGamma is the splitmix64 increment for fault streams. It is
 // deliberately distinct from the kernel RNG's seeding and from the
-// island-jitter derivation constant (0xD1B54A32D192ED03), so fault
+// jitter-stream derivation constant (0xD1B54A32D192ED03), so fault
 // draws can never alias either sequence.
 const streamGamma = 0xA0761D6478BD642F
 
 // Stream is an independent splitmix64 sequence keyed by
-// (seed, endpoint, class). Draws are consumed in fabric-call order,
-// which the parallel-simulation machinery keeps identical at every
-// worker count.
+// (seed, endpoint, class). Draws are consumed in fabric-call order.
 type Stream struct {
 	state uint64
 }

@@ -77,8 +77,8 @@ func (f *linkFault) corruptProb(wire int) float64 {
 // degraded window stretches serialization, and corruption draws burn
 // wasted attempts on srv (so later TLPs re-arbitrate behind them)
 // before the caller schedules the successful one. State advances in
-// fabric-call order — identical at every simworkers count — so the
-// draw sequence, and with it every timing, is deterministic.
+// fabric-call order, so the draw sequence, and with it every timing,
+// is deterministic.
 func (f *linkFault) adjust(p *Port, srv *sim.Server, at sim.Time, wire int, dur sim.Time) (sim.Time, sim.Time) {
 	if f.cfg.RetrainMTBF > 0 {
 		if !f.started {

@@ -164,39 +164,6 @@ func (p *Port) SetBAR(cfg BARConfig) error {
 // BAR returns the port's registered peer-to-peer window, or nil.
 func (p *Port) BAR() *BARConfig { return p.bar }
 
-// MirrorBAR registers another router's port (with a BAR window already
-// set) in this router's address ranges. Partitioned fabrics — where
-// each simulation domain owns its own router — mirror every foreign
-// window so a DMA that targets a peer in another domain is detected at
-// the routing boundary (and rejected, see crossDomainErr) instead of
-// being silently treated as host memory.
-func (r *RootComplex) MirrorBAR(p *Port) error {
-	if p.bar == nil {
-		return fmt.Errorf("rc: port %d has no BAR window to mirror", p.index)
-	}
-	if p.r == r {
-		return fmt.Errorf("rc: port %d already belongs to this router", p.index)
-	}
-	hi := p.bar.Base + uint64(p.bar.Size)
-	for i := range r.ranges {
-		rg := &r.ranges[i]
-		if p.bar.Base < rg.hi && rg.lo < hi {
-			return fmt.Errorf("rc: mirrored BAR [%#x,%#x) overlaps port %d's window", p.bar.Base, hi, rg.port.index)
-		}
-	}
-	r.ranges = append(r.ranges, barRange{lo: p.bar.Base, hi: hi, port: p})
-	return nil
-}
-
-// crossDomainErr reports a peer-to-peer DMA that would cross simulation
-// domains. The partitioned fabric splits endpoints into
-// independent event-kernel islands exactly because their traffic never
-// meets; a transfer into another island's BAR would break that
-// invariant, so it must run on a serial (simworkers=1) build instead.
-func crossDomainErr(p, tp *Port) error {
-	return fmt.Errorf("rc: peer DMA from port %d to port %d crosses simulation domains; peer-to-peer transfers need a serial build (simworkers=1)", p.index, tp.index)
-}
-
 // Index returns the port's position in the router's port list.
 func (p *Port) Index() int { return p.index }
 
@@ -367,7 +334,7 @@ func (p *Port) DMAReadOrdered(at sim.Time, dma uint64, sz int, orderAfter sim.Ti
 		return ReadResult{}, fmt.Errorf("rc: read size %d", sz)
 	}
 	if tp := p.r.peerOf(dma); tp != nil && tp != p {
-		return p.peerRead(at, tp, dma, sz, orderAfter)
+		return p.peerRead(at, tp, dma, sz, orderAfter), nil
 	}
 	// MRRS, MPS and RCB are powers of two (pcie.LinkConfig.Validate),
 	// so every chunk boundary below is a mask, not a division.
@@ -463,7 +430,7 @@ func (p *Port) DMAWrite(at sim.Time, dma uint64, sz int) (WriteResult, error) {
 		return WriteResult{}, fmt.Errorf("rc: write size %d", sz)
 	}
 	if tp := p.r.peerOf(dma); tp != nil && tp != p {
-		return p.peerWrite(at, tp, dma, sz)
+		return p.peerWrite(at, tp, dma, sz), nil
 	}
 	cfg := &p.cfg
 	mps := uint64(cfg.Link.MPS) // a power of two: boundaries are masks
@@ -589,10 +556,7 @@ func (p *Port) routePeer(txDone sim.Time, tp *Port, wire, payload int, pool dll.
 // peerWrite is a posted device-to-device write into tp's BAR window.
 // Chunk boundaries derive from the actual bus address, exactly like
 // the host-memory path (and tlp.SplitWrite).
-func (p *Port) peerWrite(at sim.Time, tp *Port, dma uint64, sz int) (WriteResult, error) {
-	if tp.r != p.r {
-		return WriteResult{}, crossDomainErr(p, tp)
-	}
+func (p *Port) peerWrite(at sim.Time, tp *Port, dma uint64, sz int) WriteResult {
 	bar := tp.bar
 	mps := uint64(p.cfg.Link.MPS)
 	res := WriteResult{}
@@ -619,7 +583,7 @@ func (p *Port) peerWrite(at sim.Time, tp *Port, dma uint64, sz int) (WriteResult
 		pos += uint64(n)
 		remaining -= n
 	}
-	return res, nil
+	return res
 }
 
 // peerRead is a device-to-device read from tp's BAR window: requests
@@ -627,10 +591,7 @@ func (p *Port) peerWrite(at sim.Time, tp *Port, dma uint64, sz int) (WriteResult
 // completions route back. Chunk boundaries derive from the actual bus
 // address, exactly like the host-memory path (and tlp.SplitRead /
 // tlp.SplitCompletion).
-func (p *Port) peerRead(at sim.Time, tp *Port, dma uint64, sz int, orderAfter sim.Time) (ReadResult, error) {
-	if tp.r != p.r {
-		return ReadResult{}, crossDomainErr(p, tp)
-	}
+func (p *Port) peerRead(at sim.Time, tp *Port, dma uint64, sz int, orderAfter sim.Time) ReadResult {
 	bar := tp.bar
 	mrrs := uint64(p.cfg.Link.MRRS)
 	mps := p.cfg.Link.MPS
@@ -681,5 +642,5 @@ func (p *Port) peerRead(at sim.Time, tp *Port, dma uint64, sz int, orderAfter si
 		pos += uint64(n)
 		remaining -= n
 	}
-	return res, nil
+	return res
 }

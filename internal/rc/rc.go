@@ -29,17 +29,6 @@
 // transaction's full timeline is computed in one pass; the event kernel
 // only sequences the *control* decisions (a DMA engine issuing its next
 // descriptor) in the device layer above.
-//
-// # Partitioned fabrics
-//
-// The partitioned topology layer (internal/topo) builds one
-// RootComplex per independent endpoint island, each bound to its own
-// event kernel; the islands share only the read-only address layout
-// and per-node memory state no two islands both touch. The handoff
-// points between domains are therefore explicit: every foreign BAR
-// window is mirrored into each router (MirrorBAR) so peer-to-peer DMA
-// that would cross domains is detected at the routing boundary and
-// rejected rather than silently mistimed.
 package rc
 
 import (
@@ -125,9 +114,9 @@ type SocketConfig struct {
 	// Jitter optionally perturbs per-TLP processing (nil = none).
 	Jitter Jitter
 	// RNG is the random stream Jitter samples draw from. Nil selects
-	// the kernel's stream (the historical behavior); partitioned
-	// fabrics install a dedicated per-island stream here so islands
-	// consume no shared randomness.
+	// the kernel's stream (the historical behavior); internal/topo
+	// installs a derived stream here for sockets of every endpoint
+	// island but the first (see its socketRNGs).
 	RNG *rand.Rand
 	// IOMMU is this socket's translation unit, modeling VT-d's
 	// per-socket DRHD units. Nil falls back to the router-wide unit

@@ -16,11 +16,7 @@
 //	                                 {"run": name, "overrides": [...]}
 //	                                 for a registered sweep); query
 //	                                 params: quality=quick|full,
-//	                                 workers=N, simworkers=N (parallel
-//	                                 simulation budget per fabric cell;
-//	                                 results are byte-identical at every
-//	                                 value, so it is not part of the
-//	                                 cache key), set=key=v1,v2
+//	                                 workers=N, set=key=v1,v2
 //	                                 (repeatable axis/base overrides),
 //	                                 and ber= / cto= / retrain=
 //	                                 (validated fault-injection sugar
@@ -267,26 +263,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			workers = n
 		}
 	}
-	// simworkers selects the island-parallel simulation budget for
-	// each multi-endpoint workload fabric cell. Results are byte-identical
-	// at every value, so it never enters the cache key — serial and
-	// parallel submissions share cache entries.
-	simWorkers := 1
-	if sw := q.Get("simworkers"); sw != "" {
-		n, err := strconv.Atoi(sw)
-		if err != nil {
-			apiError(w, http.StatusBadRequest,
-				"simworkers must be an integer in %s, not %q", sweep.SimWorkersRange(), sw)
-			return
-		}
-		if err := sweep.ValidateSimWorkers(n); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		simWorkers = n
-	}
-
-	j := s.launch(spec, workers, simWorkers, quality)
+	j := s.launch(spec, workers, quality)
 	writeJSON(w, http.StatusAccepted, submitResponse{
 		ID:      j.id,
 		Name:    spec.Name,
@@ -298,7 +275,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // launch registers a job and starts its goroutine, bounded by the
 // concurrent-jobs semaphore.
-func (s *Server) launch(spec *sweep.Spec, workers, simWorkers int, quality sweep.Quality) *job {
+func (s *Server) launch(spec *sweep.Spec, workers int, quality sweep.Quality) *job {
 	var ctx context.Context
 	var cancel context.CancelFunc
 	if s.cfg.JobTimeout > 0 {
@@ -313,7 +290,7 @@ func (s *Server) launch(spec *sweep.Spec, workers, simWorkers int, quality sweep
 	s.mu.Lock()
 	s.nextID++
 	id := fmt.Sprintf("sw-%d", s.nextID)
-	j := newJob(id, spec, workers, simWorkers, quality, cancel)
+	j := newJob(id, spec, workers, quality, cancel)
 	s.jobs[id] = j
 	s.order = append(s.order, id)
 	s.mu.Unlock()
@@ -331,12 +308,11 @@ func (s *Server) launch(spec *sweep.Spec, workers, simWorkers int, quality sweep
 		}
 		j.update(func() { j.state = StateRunning })
 		engine := &sweep.Engine{
-			Workers:    j.workers,
-			SimWorkers: j.simWorkers,
-			Quality:    j.quality,
-			Cache:      s.cfg.Cache,
-			Build:      s.cfg.Build,
-			OnCell:     j.appendRow,
+			Workers: j.workers,
+			Quality: j.quality,
+			Cache:   s.cfg.Cache,
+			Build:   s.cfg.Build,
+			OnCell:  j.appendRow,
 		}
 		res, stats, err := engine.Run(ctx, spec)
 		j.finish(res, stats, err)

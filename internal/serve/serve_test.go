@@ -176,16 +176,16 @@ func TestSubmitPollFetch(t *testing.T) {
 		t.Errorf("bad-format error: %s", bad)
 	}
 
-	// A parallel-simulation submission serves the same bytes — and,
-	// because simworkers is not part of the cache key, entirely from the
-	// cache the serial run populated.
-	par := submit(t, ts, testSpec, "?simworkers=4")
-	pst := waitState(t, ts, par.ID, StateDone)
-	if pst.CacheHits != 4 || pst.Executed != 0 {
-		t.Fatalf("simworkers=4 resubmission did not hit the shared cache: %+v", pst)
+	// Unknown query parameters are ignored — simworkers, which older
+	// clients send, included: the resubmission serves the same bytes,
+	// entirely from the cache the first run populated.
+	again := submit(t, ts, testSpec, "?simworkers=4")
+	ast := waitState(t, ts, again.ID, StateDone)
+	if ast.CacheHits != 4 || ast.Executed != 0 {
+		t.Fatalf("resubmission with an unknown parameter did not hit the cache: %+v", ast)
 	}
-	if got := string(fetch(t, ts, "/v1/sweeps/"+par.ID+"/results?format=tsv", http.StatusOK)); got != served {
-		t.Error("simworkers=4 served different bytes than the serial job")
+	if got := string(fetch(t, ts, "/v1/sweeps/"+again.ID+"/results?format=tsv", http.StatusOK)); got != served {
+		t.Error("resubmission with an unknown parameter served different bytes")
 	}
 }
 
@@ -411,13 +411,6 @@ func TestErrorResponses(t *testing.T) {
 	}
 	if code, body := post(testSpec, "?workers=-1"); code != http.StatusBadRequest {
 		t.Errorf("bad workers: %d %s", code, body)
-	}
-	// Out-of-range or non-numeric simworkers is rejected with the valid
-	// range in the message.
-	for _, bad := range []string{"0", "-3", "65", "many"} {
-		if code, body := post(testSpec, "?simworkers="+bad); code != http.StatusBadRequest || !strings.Contains(body, "[1, 64]") {
-			t.Errorf("simworkers=%s: %d %s (want 400 naming [1, 64])", bad, code, body)
-		}
 	}
 
 	fetch(t, ts, "/v1/sweeps/sw-999", http.StatusNotFound)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -22,9 +21,9 @@ func TestPropertyOrderingUnderRandomInsertion(t *testing.T) {
 		var executed []rec
 		for i := 0; i < n; i++ {
 			// Coarse timestamps force plenty of ties.
-			at := Time(rng.Intn(50)) * Nanosecond
+			ts := Time(rng.Intn(50)) * Nanosecond
 			i := i
-			k.At(at, func() {
+			at(k, ts, func() {
 				executed = append(executed, rec{at: k.Now(), seq: i})
 			})
 		}
@@ -73,11 +72,11 @@ func TestPropertyMonotoneUnderRuntimeInsertion(t *testing.T) {
 			ran++
 			for c := rng.Intn(3); c > 0 && spawnBud > 0; c-- {
 				spawnBud--
-				k.After(Time(rng.Intn(1000)), spawn)
+				after(k, Time(rng.Intn(1000)), spawn)
 			}
 		}
 		for i := 0; i < 10; i++ {
-			k.At(Time(rng.Intn(100)), spawn)
+			at(k, Time(rng.Intn(100)), spawn)
 		}
 		end := k.Run()
 		if k.Pending() != 0 {
@@ -106,11 +105,11 @@ func TestPropertyReplayIdentical(t *testing.T) {
 			log = append(log, k.Now())
 			if budget > 0 {
 				budget--
-				k.After(Time(rng.Intn(100))*Nanosecond, spawn)
+				after(k, Time(rng.Intn(100))*Nanosecond, spawn)
 			}
 		}
 		for i := 0; i < 5; i++ {
-			k.At(Time(rng.Intn(20))*Nanosecond, spawn)
+			at(k, Time(rng.Intn(20))*Nanosecond, spawn)
 		}
 		k.Run()
 		return log
@@ -122,113 +121,6 @@ func TestPropertyReplayIdentical(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at event %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-// randNet is a randomized multi-domain model for the parallel kernel:
-// random domain sizes, random initial event bursts at colliding times,
-// and handlers that mix state and schedule a follow-up on a random node
-// of their own domain after a random delay. Every observable (per-node
-// event trace, state sums, final clocks) is returned for comparison.
-type randNode struct {
-	peers []*randNode // the nodes of this node's domain, itself included
-	rng   *rand.Rand
-	hops  int
-	trace []Time
-	sum   int64
-}
-
-func (n *randNode) Handle(k *Kernel, a, b int64) {
-	n.trace = append(n.trace, k.Now())
-	n.sum = n.sum*131 + a*7 + b
-	if n.hops <= 0 {
-		return
-	}
-	n.hops--
-	// The follow-up draws from the node's own rng in event-execution
-	// order — identical across schedules if and only if each domain's
-	// event order is.
-	dst := n.peers[n.rng.Intn(len(n.peers))]
-	k.AfterEvent(Time(n.rng.Intn(30))*Nanosecond, dst, n.sum, int64(len(n.trace)))
-}
-
-// runRandNet builds and runs one randomized model; the construction is
-// a pure function of (domains, seed). With shared set, every domain's
-// events go onto one kernel — the serial build — instead of a kernel
-// per domain run on workers goroutines.
-func runRandNet(domains, workers int, seed int64, shared bool) ([][]Time, []int64, []Time) {
-	rng := rand.New(rand.NewSource(seed))
-	kernels := make([]*Kernel, domains)
-	for i := range kernels {
-		if shared && i > 0 {
-			kernels[i] = kernels[0]
-		} else {
-			kernels[i] = New(seed*100 + int64(i))
-		}
-	}
-	var nodes []*randNode
-	for d := 0; d < domains; d++ {
-		var peers []*randNode
-		for j := 0; j < 1+rng.Intn(3); j++ {
-			n := &randNode{
-				rng:  rand.New(rand.NewSource(seed*1000 + int64(len(nodes)))),
-				hops: 20 + rng.Intn(40),
-			}
-			peers = append(peers, n)
-			nodes = append(nodes, n)
-		}
-		for _, n := range peers {
-			n.peers = peers
-			for e := 0; e < 1+rng.Intn(4); e++ {
-				kernels[d].AtEvent(Time(rng.Intn(40))*Nanosecond, n, int64(e), int64(d))
-			}
-		}
-	}
-	if shared {
-		kernels[0].Run()
-	} else {
-		NewParallel(kernels).Run(workers)
-	}
-	var traces [][]Time
-	var sums []int64
-	var clocks []Time
-	for _, n := range nodes {
-		traces = append(traces, n.trace)
-		sums = append(sums, n.sum)
-	}
-	for _, k := range kernels {
-		clocks = append(clocks, k.Now())
-	}
-	return traces, sums, clocks
-}
-
-// Property: randomized multi-domain models produce byte-identical
-// traces under the parallel kernel at P = 1, 2, 4 and 7 workers, and
-// the same per-node traces as one shared kernel running every domain.
-func TestPropertyParallelWorkerCountInvariance(t *testing.T) {
-	for trial := 0; trial < 8; trial++ {
-		seed := int64(4000 + trial)
-		domains := 2 + trial%6
-		refTraces, refSums, refClocks := runRandNet(domains, 1, seed, false)
-		total := 0
-		for _, tr := range refTraces {
-			total += len(tr)
-		}
-		if total == 0 {
-			t.Fatalf("trial %d: model executed nothing", trial)
-		}
-		for _, workers := range []int{2, 4, 7} {
-			traces, sums, clocks := runRandNet(domains, workers, seed, false)
-			if !reflect.DeepEqual(refTraces, traces) ||
-				!reflect.DeepEqual(refSums, sums) ||
-				!reflect.DeepEqual(refClocks, clocks) {
-				t.Fatalf("trial %d: workers=%d diverged from the single-worker run", trial, workers)
-			}
-		}
-		traces, sums, _ := runRandNet(domains, 1, seed, true)
-		if !reflect.DeepEqual(refTraces, traces) || !reflect.DeepEqual(refSums, sums) {
-			t.Fatalf("trial %d: per-domain kernels diverged from one shared kernel", trial)
 		}
 	}
 }

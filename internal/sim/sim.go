@@ -12,26 +12,18 @@
 //
 // The event queue is allocation-free in steady state. An event is a plain
 // struct carrying its timestamp, a FIFO sequence number, a Handler
-// interface value and two opaque int64 arguments; hot paths implement
+// interface value and two opaque int64 arguments; callers implement
 // Handler on a pointer (or another pointer-shaped type) and pass their
 // per-event state through the integer arguments, so scheduling never
-// heap-allocates. The closure-based At/After API remains for control
-// paths and tests: a func value is itself pointer-shaped, so wrapping it
-// costs only whatever the closure captures. The queue is a hand-rolled
-// 4-ary heap ordered by (time, sequence); because that key is a strict
-// total order, the pop order — and therefore every simulation result —
-// is identical to the previous container/heap implementation, just
-// without the per-push interface boxing and with a shallower, more
-// cache-friendly sift path.
+// heap-allocates. The queue is a hand-rolled 4-ary heap ordered by
+// (time, sequence); because that key is a strict total order, the pop
+// order — and therefore every simulation result — is identical to the
+// previous container/heap implementation, just without the per-push
+// interface boxing and with a shallower, more cache-friendly sift path.
 //
-// # Parallel domains
-//
-// ParallelKernel runs several independent Kernels — the islands of a
-// partitioned PCIe fabric, which share no simulation state — to
-// completion on a bounded number of goroutines (parallel.go). Each
-// domain keeps the (time,seq) FIFO semantics of its own heap and no
-// event crosses domains, so results are byte-identical at any worker
-// count.
+// A simulation is one Kernel on one goroutine: every fabric, however
+// many endpoints it has, runs on a single kernel. Parallelism lives one
+// level up, across independent simulations (internal/runner).
 package sim
 
 import (
@@ -84,13 +76,6 @@ type Handler interface {
 	Handle(k *Kernel, a, b int64)
 }
 
-// funcHandler adapts a plain closure to Handler. Named func types are
-// pointer-shaped, so the interface conversion does not allocate.
-type funcHandler func()
-
-// Handle implements Handler by calling the wrapped closure.
-func (f funcHandler) Handle(*Kernel, int64, int64) { f() }
-
 // event is one scheduled typed event.
 type event struct {
 	at   Time
@@ -130,17 +115,6 @@ func (k *Kernel) Now() Time { return k.now }
 
 // Rand returns the kernel's deterministic random source.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
-
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error and panics.
-func (k *Kernel) At(t Time, fn func()) {
-	k.AtEvent(t, funcHandler(fn), 0, 0)
-}
-
-// After schedules fn to run d picoseconds from now.
-func (k *Kernel) After(d Time, fn func()) {
-	k.AfterEvent(d, funcHandler(fn), 0, 0)
-}
 
 // AtEvent schedules h.Handle(k, a, b) at absolute time t without
 // allocating (provided h is pointer-shaped). Scheduling in the past is a

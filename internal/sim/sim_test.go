@@ -5,6 +5,18 @@ import (
 	"testing/quick"
 )
 
+// closure adapts a plain func to Handler so tests can schedule
+// closures; production code schedules typed events.
+type closure func()
+
+func (f closure) Handle(*Kernel, int64, int64) { f() }
+
+// at schedules fn at absolute time t.
+func at(k *Kernel, t Time, fn func()) { k.AtEvent(t, closure(fn), 0, 0) }
+
+// after schedules fn d picoseconds from now.
+func after(k *Kernel, d Time, fn func()) { k.AfterEvent(d, closure(fn), 0, 0) }
+
 func TestTimeString(t *testing.T) {
 	cases := map[Time]string{
 		500:             "500ps",
@@ -35,9 +47,9 @@ func TestTimeConversions(t *testing.T) {
 func TestKernelOrdering(t *testing.T) {
 	k := New(1)
 	var order []int
-	k.At(300, func() { order = append(order, 3) })
-	k.At(100, func() { order = append(order, 1) })
-	k.At(200, func() { order = append(order, 2) })
+	at(k, 300, func() { order = append(order, 3) })
+	at(k, 100, func() { order = append(order, 1) })
+	at(k, 200, func() { order = append(order, 2) })
 	end := k.Run()
 	if end != 300 {
 		t.Errorf("end time %v, want 300ps", end)
@@ -52,7 +64,7 @@ func TestKernelFIFOTieBreak(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(100, func() { order = append(order, i) })
+		at(k, 100, func() { order = append(order, i) })
 	}
 	k.Run()
 	for i, v := range order {
@@ -69,10 +81,10 @@ func TestKernelCascade(t *testing.T) {
 	step = func() {
 		count++
 		if count < 100 {
-			k.After(10, step)
+			after(k, 10, step)
 		}
 	}
-	k.After(0, step)
+	after(k, 0, step)
 	end := k.Run()
 	if count != 100 {
 		t.Errorf("count = %d", count)
@@ -92,14 +104,14 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}
 	}()
 	k := New(1)
-	k.At(100, func() { k.At(50, func() {}) })
+	at(k, 100, func() { at(k, 50, func() {}) })
 	k.Run()
 }
 
 func TestAfterClampsNegative(t *testing.T) {
 	k := New(1)
 	ran := false
-	k.After(-5, func() { ran = true })
+	after(k, -5, func() { ran = true })
 	k.Run()
 	if !ran {
 		t.Error("negative After did not run")
@@ -109,9 +121,9 @@ func TestAfterClampsNegative(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	k := New(1)
 	var ran []Time
-	for _, at := range []Time{100, 200, 300, 400} {
-		at := at
-		k.At(at, func() { ran = append(ran, at) })
+	for _, ts := range []Time{100, 200, 300, 400} {
+		ts := ts
+		at(k, ts, func() { ran = append(ran, ts) })
 	}
 	k.RunUntil(250)
 	if len(ran) != 2 {
@@ -137,10 +149,10 @@ func TestDeterminism(t *testing.T) {
 		tick = func() {
 			samples = append(samples, int64(k.Now()), k.Rand().Int63n(1000))
 			if len(samples) < 100 {
-				k.After(Time(k.Rand().Int63n(500)+1), tick)
+				after(k, Time(k.Rand().Int63n(500)+1), tick)
 			}
 		}
-		k.After(1, tick)
+		after(k, 1, tick)
 		k.Run()
 		return samples
 	}
@@ -175,7 +187,7 @@ func TestServerIdleGap(t *testing.T) {
 	s := NewServer(k)
 	s.Schedule(100)
 	// Advance time past the busy period; the next request starts at now.
-	k.At(500, func() {
+	at(k, 500, func() {
 		if c := s.Schedule(50); c != 550 {
 			t.Errorf("completion %v, want 550", c)
 		}
@@ -199,7 +211,7 @@ func TestServerUtilization(t *testing.T) {
 	k := New(1)
 	s := NewServer(k)
 	s.Schedule(500)
-	k.At(1000, func() {})
+	at(k, 1000, func() {})
 	k.Run()
 	if u := s.Utilization(); u != 0.5 {
 		t.Errorf("utilization = %v, want 0.5", u)

@@ -32,10 +32,6 @@ type CLI struct {
 	Format string
 	// Workers is the per-run worker pool size (0 = GOMAXPROCS).
 	Workers int
-	// SimWorkers is the island-parallel simulation budget applied
-	// to each multi-endpoint workload fabric cell (<= 1 = serial).
-	// Results are byte-identical at every value.
-	SimWorkers int
 	// Quality scales transaction counts (Quick or Full).
 	Quality Quality
 	// CacheDir, when non-empty, dedups cells against an on-disk
@@ -82,10 +78,7 @@ func (c *CLI) Execute(ctx context.Context, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	if err := ValidateSimWorkers(max(1, c.SimWorkers)); err != nil {
-		return err
-	}
-	engine := &Engine{Workers: c.Workers, SimWorkers: c.SimWorkers, Quality: c.Quality}
+	engine := &Engine{Workers: c.Workers, Quality: c.Quality}
 	if c.CacheDir != "" {
 		store, err := cache.NewDisk(c.CacheDir)
 		if err != nil {

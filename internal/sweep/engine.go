@@ -28,11 +28,8 @@ type Engine struct {
 	// Workers is the runner pool size for cache misses; <= 0 selects
 	// GOMAXPROCS. Results are byte-identical for every value.
 	Workers int
-	// SimWorkers is the island-parallel simulation budget for
-	// multi-endpoint workload fabric cells; <= 1 simulates serially.
-	// Results are byte-identical for every value, which is why — unlike
-	// Quality — SimWorkers is deliberately NOT part of the cache key: a
-	// cell computed at any worker count serves requests at every other.
+	// Deprecated: SimWorkers is ignored; every fabric cell simulates
+	// on one event kernel and parallelism is across cells (Workers).
 	SimWorkers int
 	// Quality resolves transaction counts left at zero; it is part of
 	// the cache key (quick and full results never alias).
@@ -190,7 +187,7 @@ func (e *Engine) Run(ctx context.Context, s *Spec) (*Result, Stats, error) {
 
 	_, err := runner.Map(ctx, misses, runner.Options{Workers: e.Workers},
 		func(_ context.Context, _ int, m miss) (struct{}, error) {
-			res, err := s.runCell(m.cell, e.Quality, e.SimWorkers)
+			res, err := s.runCell(m.cell, e.Quality)
 			if err != nil {
 				return struct{}{}, err
 			}

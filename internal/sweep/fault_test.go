@@ -9,8 +9,8 @@ import (
 )
 
 // runBerGoodput runs the registered ber-goodput sweep, scaled down for
-// test time, at the given simulation worker budget, returning the TSV.
-func runBerGoodput(t *testing.T, simWorkers int, overrides ...string) (*Result, string) {
+// test time, on the given number of runner workers, returning the TSV.
+func runBerGoodput(t *testing.T, workers int, overrides ...string) (*Result, string) {
 	t.Helper()
 	spec, err := ByName("ber-goodput")
 	if err != nil {
@@ -19,7 +19,7 @@ func runBerGoodput(t *testing.T, simWorkers int, overrides ...string) (*Result, 
 	if err := spec.ApplyOverrides(append([]string{"n=150"}, overrides...)); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := (&Engine{Workers: 2, SimWorkers: simWorkers}).Run(context.Background(), spec)
+	res, _, err := (&Engine{Workers: workers}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func runBerGoodput(t *testing.T, simWorkers int, overrides ...string) (*Result, 
 
 // TestBerGoodputWorkerIdentity pins the sweep-level determinism
 // acceptance criterion: identical specs with ber>0 produce
-// byte-identical TSVs at simulation worker counts 1, 2, 4 and 7.
+// byte-identical TSVs at runner worker counts 1, 2, 4 and 7.
 func TestBerGoodputWorkerIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep skipped in -short")
@@ -44,7 +44,7 @@ func TestBerGoodputWorkerIdentity(t *testing.T) {
 	_, ref := runBerGoodput(t, 1, "ber=1e-6,1e-5")
 	for _, w := range []int{2, 4, 7} {
 		if _, got := runBerGoodput(t, w, "ber=1e-6,1e-5"); got != ref {
-			t.Errorf("simworkers=%d TSV diverged from serial", w)
+			t.Errorf("workers=%d TSV diverged from serial", w)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // TestIOMMUScaleGolden pins the IOMMU-scope sweep: the JSON spec
 // round-trips, runs byte-identically at workers 1/4/7 in every format,
 // and matches the checked-in golden TSV. The grid crosses endpoint
-// count with translation-unit scope, so both the single-island global unit
-// and the per-socket DRHD path are exercised through the full sweep
+// count with translation-unit scope, so both the global unit and the
+// per-socket DRHD path are exercised through the full sweep
 // engine.
 func TestIOMMUScaleGolden(t *testing.T) {
 	if testing.Short() {

@@ -132,28 +132,6 @@ type Result struct {
 	Cells []CellResult
 }
 
-// MaxSimWorkers bounds the per-simulation parallelism the run surfaces
-// (CLI flags, the service's ?simworkers=) accept; islands are capped
-// by the 64-endpoint shape limit, so more workers than that can never
-// help.
-const MaxSimWorkers = 64
-
-// SimWorkersRange renders the accepted simworkers interval. Every
-// surface that names the bound — CLI flag help, the service's 400
-// response, validation errors — formats it through this one string, so
-// they can never drift apart.
-func SimWorkersRange() string {
-	return fmt.Sprintf("[1, %d]", MaxSimWorkers)
-}
-
-// ValidateSimWorkers checks a user-supplied simulation worker count.
-func ValidateSimWorkers(n int) error {
-	if n < 1 || n > MaxSimWorkers {
-		return fmt.Errorf("sweep: simworkers %d outside the valid range %s", n, SimWorkersRange())
-	}
-	return nil
-}
-
 // cellSeed resolves the seed a cell builds its instances from.
 func (s *Spec) cellSeed(cfg *Config, index int) {
 	base := cfg.Opt.Seed
@@ -171,7 +149,7 @@ func (s *Spec) cellSeed(cfg *Config, index int) {
 }
 
 // runCell measures every probe of one cell.
-func (s *Spec) runCell(c Cell, q Quality, simWorkers int) (CellResult, error) {
+func (s *Spec) runCell(c Cell, q Quality) (CellResult, error) {
 	res := CellResult{Cell: c}
 	var shared *sysconf.Instance
 	if s.SharedInstance {
@@ -209,7 +187,7 @@ func (s *Spec) runCell(c Cell, q Quality, simWorkers int) (CellResult, error) {
 		if memoable && memo != nil {
 			m = *memo
 		} else {
-			m, err = measure(cfg, shared, wantCDF, simWorkers)
+			m, err = measure(cfg, shared, wantCDF)
 			if err != nil {
 				return res, fmt.Errorf("sweep: %s cell %d probe %d: %w", s.Name, c.Index, pi, err)
 			}
@@ -232,7 +210,7 @@ func (s *Spec) runCell(c Cell, q Quality, simWorkers int) (CellResult, error) {
 				if pcfg.Params.Transactions == 0 {
 					pcfg.Params.Transactions = q.Transactions(pcfg.Bench, metric)
 				}
-				pm, err = measure(pcfg, nil, wantCDF, simWorkers)
+				pm, err = measure(pcfg, nil, wantCDF)
 				if err != nil {
 					return res, fmt.Errorf("sweep: %s cell %d probe %d contrast: %w", s.Name, c.Index, pi, err)
 				}
@@ -267,9 +245,9 @@ func buildInstance(cfg Config) (*sysconf.Instance, error) {
 // measure runs one benchmark. A non-nil shared instance is reused
 // (probe order is then the simulation order); otherwise the probe
 // builds its own fresh instance, like the paper's per-point runs.
-func measure(cfg Config, shared *sysconf.Instance, wantCDF bool, simWorkers int) (Measurement, error) {
+func measure(cfg Config, shared *sysconf.Instance, wantCDF bool) (Measurement, error) {
 	if shared == nil && cfg.usesFabric() {
-		return measureFabric(cfg, simWorkers)
+		return measureFabric(cfg)
 	}
 	inst := shared
 	if inst == nil {
@@ -361,16 +339,10 @@ func measureWorkload(inst *sysconf.Instance, cfg Config) (Measurement, error) {
 
 // measureFabric runs the cell on a multi-endpoint fabric: the p2p
 // transfer benchmark, or the traffic engine on every endpoint at once.
-// simWorkers > 1 asks the workload path for an island-parallel
-// fabric (results stay byte-identical; see internal/topo); the p2p
-// benchmark couples its endpoints and always builds serially.
-func measureFabric(cfg Config, simWorkers int) (Measurement, error) {
+func measureFabric(cfg Config) (Measurement, error) {
 	sys, err := sysconf.ByName(cfg.System)
 	if err != nil {
 		return Measurement{}, err
-	}
-	if cfg.Bench != BenchP2P && simWorkers > 1 {
-		cfg.Opt.SimWorkers = simWorkers
 	}
 	fab, err := sys.Fabric(cfg.Shape, cfg.Opt)
 	if err != nil {

@@ -203,10 +203,8 @@ type Options struct {
 	// the paper's setup). Used by the Gen4 projection experiments the
 	// paper's §6 anticipates.
 	Link *pcie.LinkConfig
-	// SimWorkers asks for an island-parallel fabric on up to this
-	// many worker goroutines (<= 1 builds serially). Results are
-	// byte-identical at every value; parallelism only materializes when
-	// the topology splits into independent endpoint islands.
+	// Deprecated: SimWorkers is ignored; every fabric runs on one
+	// event kernel.
 	SimWorkers int
 	// Faults arms deterministic fault injection (BER corruption and
 	// replay, completion timeouts, link retrains — see internal/fault)
@@ -288,10 +286,9 @@ func (s System) TopoSpec(shape topo.Shape, opt Options) (topo.Spec, error) {
 		return topo.Spec{}, fmt.Errorf("sysconf: %s: %w", s.Name, err)
 	}
 	spec := topo.Spec{
-		Seed:       opt.Seed,
-		Mem:        s.memConfig(),
-		SimWorkers: opt.SimWorkers,
-		Faults:     opt.Faults,
+		Seed:   opt.Seed,
+		Mem:    s.memConfig(),
+		Faults: opt.Faults,
 	}
 	if opt.IOMMU {
 		cfg := iommu.DefaultConfig()

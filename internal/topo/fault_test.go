@@ -2,7 +2,6 @@ package topo_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"pciebench/internal/fault"
@@ -13,15 +12,15 @@ import (
 )
 
 // buildFaulty builds an n-endpoint NFP6000-BDW fabric with the given
-// fault config and simulation worker budget.
-func buildFaulty(t *testing.T, n, workers int, seed int64, fc *fault.Config) *topo.Fabric {
+// fault config.
+func buildFaulty(t *testing.T, n int, seed int64, fc *fault.Config) *topo.Fabric {
 	t.Helper()
 	sys, err := sysconf.ByName("NFP6000-BDW")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fab, err := sys.Fabric(topo.Shape{Endpoints: n}, sysconf.Options{
-		Seed: seed, BufferSize: 1 << 20, SimWorkers: workers, Faults: fc,
+		Seed: seed, BufferSize: 1 << 20, Faults: fc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,11 +28,11 @@ func buildFaulty(t *testing.T, n, workers int, seed int64, fc *fault.Config) *to
 	return fab
 }
 
-// The tentpole determinism property, randomized: fault-injected
+// The determinism property under cell-level parallelism: fault-injected
 // workload runs — BER replays, retrain events, mixed shapes and seeds,
-// open and closed loop — are byte-identical (counters included) at
-// every simulation worker count, because fault streams are keyed by
-// (seed, endpoint, class) rather than by island or schedule.
+// open and closed loop — run concurrently with copies of themselves are
+// byte-identical (counters included) to a lone run, because every
+// fault stream belongs to its fabric, keyed by (seed, endpoint, class).
 func TestFaultWorkerIdentity(t *testing.T) {
 	cases := []struct {
 		endpoints int
@@ -57,25 +56,13 @@ func TestFaultWorkerIdentity(t *testing.T) {
 				}
 				cfg.Arrival = arr
 			}
-			ref, err := topo.RunWorkload(buildFaulty(t, tc.endpoints, 1, tc.seed, &tc.fc), cfg, 150)
-			if err != nil {
-				t.Fatal(err)
-			}
+			build := func() *topo.Fabric { return buildFaulty(t, tc.endpoints, tc.seed, &tc.fc) }
+			_, ref := requireConcurrentIdentity(t, build, cfg, 150, 3)
 			if ref.Faults == nil {
 				t.Fatal("fault counters missing from result")
 			}
 			if tc.fc.BER > 0 && ref.Faults.Replays == 0 && ref.Faults.Retrains == 0 {
 				t.Logf("warning: no fault events fired (weak case)")
-			}
-			for _, w := range []int{2, 4, 7} {
-				res, err := topo.RunWorkload(buildFaulty(t, tc.endpoints, w, tc.seed, &tc.fc), cfg, 150)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(ref, res) {
-					t.Errorf("simworkers=%d diverged from serial (faults: ref=%+v got=%+v)",
-						w, *ref.Faults, *res.Faults)
-				}
 			}
 		})
 	}
@@ -85,7 +72,7 @@ func TestFaultWorkerIdentity(t *testing.T) {
 // field — the accounting invariant behind the sweep metrics.
 func TestFaultCountersSumConsistent(t *testing.T) {
 	fc := &fault.Config{BER: 1e-5, RetrainMTBF: 80 * sim.Microsecond}
-	res, err := topo.RunWorkload(buildFaulty(t, 4, 2, 17, fc),
+	res, err := topo.RunWorkload(buildFaulty(t, 4, 17, fc),
 		workload.Config{Seed: 5, BufferBytes: 1 << 20, Queues: 1}, 200)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +100,7 @@ func TestFaultCountersSumConsistent(t *testing.T) {
 // Zero-fault configs must not allocate fault state at all: the
 // omitempty JSON contract and cache-key stability both depend on it.
 func TestNoFaultsNoCounters(t *testing.T) {
-	res, err := topo.RunWorkload(buildFaulty(t, 2, 1, 3, nil),
+	res, err := topo.RunWorkload(buildFaulty(t, 2, 3, nil),
 		workload.Config{Seed: 5, BufferBytes: 1 << 20, Queues: 1}, 50)
 	if err != nil {
 		t.Fatal(err)

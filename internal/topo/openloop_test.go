@@ -1,7 +1,6 @@
 package topo_test
 
 import (
-	"reflect"
 	"testing"
 
 	"pciebench/internal/sysconf"
@@ -9,52 +8,33 @@ import (
 	"pciebench/internal/workload"
 )
 
-// openLoopFabric builds the four-endpoint NFP6000-BDW fabric the
-// open-loop identity tests drive, at w simulation workers.
-func openLoopFabric(t *testing.T, w int, jitter bool) *topo.Fabric {
+// requireOpenLoopIdentity runs cfg on the four-endpoint NFP6000-BDW
+// fabric, with and without root-complex jitter, alone and as workers
+// concurrent copies, and fails on any divergence from the lone run.
+func requireOpenLoopIdentity(t *testing.T, cfg workload.Config, workers int) {
 	t.Helper()
 	sys, err := sysconf.ByName("NFP6000-BDW")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fab, err := sys.Fabric(topo.Shape{Endpoints: 4}, sysconf.Options{
-		Seed: 7, BufferSize: 1 << 20, NoJitter: !jitter, SimWorkers: w,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fab
-}
-
-// requireOpenLoopIdentity runs cfg on the serial build and at each of
-// workers, with and without root-complex jitter, and fails on any
-// divergence from the serial result.
-func requireOpenLoopIdentity(t *testing.T, name string, cfg workload.Config, workers []int) {
-	t.Helper()
 	for _, jitter := range []bool{false, true} {
-		ref, err := topo.RunWorkload(openLoopFabric(t, 1, jitter), cfg, 120)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range workers {
-			fab := openLoopFabric(t, w, jitter)
-			requireIslands(t, fab, oneIsland(4))
-			res, err := topo.RunWorkload(fab, cfg, 120)
+		build := func() *topo.Fabric {
+			fab, err := sys.Fabric(topo.Shape{Endpoints: 4}, sysconf.Options{
+				Seed: 7, BufferSize: 1 << 20, NoJitter: !jitter,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(ref, res) {
-				t.Errorf("%s jitter=%v simworkers=%d diverged from serial", name, jitter, w)
-			}
+			return fab
 		}
+		requireConcurrentIdentity(t, build, cfg, 120, workers)
 	}
 }
 
 // TestOpenLoopCoupledArrivalIdentity: coupled fabrics driven by the
 // open-loop arrival forms ("poisson:", "rate:"), with and without
-// root-complex jitter, stay byte-identical to the serial build at every
-// simulation worker count, including counts (2, 7) that leave workers
-// idle or do not divide the endpoint count.
+// root-complex jitter, stay byte-identical to a lone run when run
+// concurrently with copies of themselves.
 func TestOpenLoopCoupledArrivalIdentity(t *testing.T) {
 	for _, spec := range []string{"poisson:2M:burst=4", "rate:2M:burst=4"} {
 		arr, err := workload.ParseArrival(spec)
@@ -62,7 +42,7 @@ func TestOpenLoopCoupledArrivalIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := workload.Config{Seed: 11, BufferBytes: 1 << 20, Arrival: arr, Queues: 2}
-		requireOpenLoopIdentity(t, "arrival "+spec, cfg, []int{2, 4, 7})
+		requireOpenLoopIdentity(t, cfg, 3)
 	}
 }
 
@@ -74,5 +54,5 @@ func TestProbeOpenLoopCoupled(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := workload.Config{Seed: 11, BufferBytes: 1 << 20, Arrival: arr, Queues: 2}
-	requireOpenLoopIdentity(t, "workload.Poisson", cfg, []int{2, 4})
+	requireOpenLoopIdentity(t, cfg, 2)
 }

@@ -49,6 +49,16 @@ func p2pStride(transfer int) int {
 	return s
 }
 
+// launchEvent opens the saturating phase: at its start it launches
+// as many independent transfer chains as its first argument says.
+type launchEvent struct{ launch func() }
+
+func (e launchEvent) Handle(_ *sim.Kernel, chains, _ int64) {
+	for i := int64(0); i < chains; i++ {
+		e.launch()
+	}
+}
+
 // RunP2P benchmarks a device-to-device transfer of the given size
 // between the fabric's first two endpoints: a dependent-transfer phase
 // for latency percentiles, then a saturating phase for bandwidth. Mode
@@ -65,11 +75,6 @@ func RunP2P(f *Fabric, mode string, transfer, n int) (*P2PResult, error) {
 	}
 	if mode != P2PDirect && mode != P2PBounce {
 		return nil, fmt.Errorf("topo: p2p mode %q (want %s or %s)", mode, P2PDirect, P2PBounce)
-	}
-	if f.Parallel() {
-		// Peer traffic couples the endpoints' timelines; the partitioned
-		// fabric's islands are built on the premise that they never meet.
-		return nil, fmt.Errorf("topo: p2p requires a serial fabric; rebuild with simworkers=1 (fabric has %d islands)", len(f.Kernels))
 	}
 	src, dst := f.Endpoints[0], f.Endpoints[1]
 	stride := p2pStride(transfer)
@@ -203,11 +208,7 @@ func RunP2P(f *Fabric, mode string, transfer, n int) (*P2PResult, error) {
 			dst.Engine.Submit(device.Op{DMA: a, Size: transfer, OrderAfter: c.MemVisible, OnDone: finish})
 		}})
 	}
-	k.After(0, func() {
-		for i := 0; i < window && i < total; i++ {
-			launch()
-		}
-	})
+	k.AfterEvent(0, launchEvent{launch}, int64(min(window, total)), 0)
 	k.Run()
 	if rerr != nil {
 		return nil, rerr

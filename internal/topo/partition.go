@@ -2,12 +2,14 @@ package topo
 
 import "math/rand"
 
-// This file computes the parallel partition of a Spec:
-// which endpoints can run on independent event kernels with results
-// byte-identical to the single-kernel build.
+// This file assigns root-complex jitter streams to sockets.
 //
-// Two endpoints land in the same island whenever their simulated
-// traffic can meet on mutable simulation state:
+// A fabric runs on one event kernel, but its sockets do not all draw
+// jitter from the kernel's random source. The endpoints are grouped
+// into islands — sets whose traffic can meet on mutable simulation
+// state — and every island beyond the first gives its sockets a
+// random stream of its own. Two endpoints share an island whenever
+// their traffic meets on:
 //
 //   - the same switch (shared uplink arbitration and credit pools),
 //   - the same socket (shared root-complex pipeline slots; a switched
@@ -17,28 +19,15 @@ import "math/rand"
 //   - the shared inter-socket bus, when the spec models one: every
 //     endpoint whose buffer is remote to its ingress socket queues on
 //     the one xbus resource, so all such endpoints couple,
-//   - a declared peer pairing (Spec.Peers): static P2P intent means
-//     their BAR traffic must route inside one island's address map
-//     instead of hitting the runtime cross-domain refusal,
 //   - the same IOMMU translation unit: a global-scope unit sits on
 //     every DMA path (one IO-TLB, one walker pool, one LRU clock), so
 //     it couples all endpoints; per-socket units (VT-d DRHD scope)
 //     are owned by their ingress socket, which the same-socket rule
 //     already couples, so they add no edges of their own.
 //
-// Endpoints of one island run on one event kernel, the island's own,
-// exactly as the serial build runs them: their shared state (switch,
-// root-complex pipeline, LLC, IOMMU unit) sees traffic in the serial
-// schedule because it is the serial schedule, restricted to the
-// island. Only separate islands run concurrently, which is why a spec
-// that forms a single island builds serially at any worker count.
-// Root-complex jitter does not couple islands either — each island's
-// sockets sample a dedicated random stream keyed by island id
-// (socketRNGs), so islands consume no shared randomness.
-//
-// Undeclared peer-to-peer BAR traffic cannot be seen statically; it is
-// guarded at run time instead (rc rejects DMA that would cross
-// domains).
+// The assignment decides every jittery multi-island result, so the
+// jittery split-socket goldens (testdata/jitter_split.golden.json,
+// testdata/iommu_split.golden.json) pin it.
 
 // unionFind is a plain union-find over endpoint indices.
 type unionFind []int
@@ -76,10 +65,9 @@ func (s Spec) socketOf(i int) int {
 	return s.Switches[ep.Switch].Socket
 }
 
-// islandsOf partitions the spec's endpoints into simulation islands:
-// groups whose traffic never meets, listed in first-endpoint order with
-// each group's endpoints in ascending order. A single returned island
-// means the spec cannot be parallelized and builds serially.
+// islandsOf partitions the spec's endpoints into islands: groups whose
+// traffic never meets, listed in first-endpoint order with each group's
+// endpoints in ascending order.
 func islandsOf(spec Spec) [][]int {
 	n := len(spec.Endpoints)
 	u := newUnionFind(n)
@@ -119,9 +107,6 @@ func islandsOf(spec Spec) [][]int {
 			}
 		}
 	}
-	for _, pr := range spec.Peers {
-		u.union(pr[0], pr[1])
-	}
 
 	var islands [][]int
 	idx := map[int]int{}
@@ -144,7 +129,7 @@ func islandsOf(spec Spec) [][]int {
 // per-endpoint workload streams. Only islands beyond the first use a
 // derived stream — island 0's sockets keep the kernel stream, which
 // preserves every degenerate and single-island build (and all goldens
-// pinned before partitioned builds existed) byte for byte.
+// pinned before islands existed) byte for byte.
 func islandSeed(seed int64, d int) int64 {
 	z := uint64(seed) + uint64(d)*0xD1B54A32D192ED03
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
@@ -159,11 +144,10 @@ func islandSeed(seed int64, d int) int64 {
 // socketRNGs maps each socket to the jitter stream its island owns:
 // nil (the kernel stream) for island 0 and for sockets no endpoint
 // ingresses at, a stream derived from islandSeed otherwise — one
-// shared stream per island, however many sockets it spans. Serial and
-// partitioned builds use the same assignment, which is what keeps them
-// byte-identical on jittery multi-island specs.
-func socketRNGs(spec Spec, seed int64, islands [][]int) []*rand.Rand {
+// shared stream per island, however many sockets it spans.
+func socketRNGs(spec Spec, seed int64) []*rand.Rand {
 	rngs := make([]*rand.Rand, len(spec.Sockets))
+	islands := islandsOf(spec)
 	if len(islands) < 2 {
 		return rngs
 	}

@@ -29,9 +29,8 @@ type Shape struct {
 	// LocalBuffers homes each endpoint's DMA buffer on its own
 	// socket's NUMA node instead of one shared node (overriding any
 	// explicit buffer-node option). Besides modeling the NUMA-aware
-	// driver layout, this decouples the endpoints' memory state, which
-	// lets a split-socket fabric partition into parallel simulation
-	// islands.
+	// driver layout, this decouples the endpoints' memory state, so a
+	// split-socket fabric forms one island per socket (see islandsOf).
 	LocalBuffers bool
 }
 

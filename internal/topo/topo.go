@@ -110,7 +110,7 @@ const (
 	// socket's root ports translate through a unit of their own, with
 	// its own IO-TLB, walker pool and Hits/Misses/Faults counters.
 	// Endpoints ingressing at different sockets then share no
-	// translation state and can partition into independent islands.
+	// translation state.
 	IOMMUScopePerSocket = "per-socket"
 )
 
@@ -146,26 +146,11 @@ type Spec struct {
 	Sockets      []SocketSpec
 	Switches     []SwitchSpec
 	Endpoints    []EndpointSpec
-	// Peers declares static peer-to-peer intent: each pair of endpoint
-	// indices exchanges BAR-window DMA. The partitioner couples every
-	// declared pair into one island, so declared peer traffic always
-	// routes inside a single address map instead of tripping the
-	// runtime cross-domain refusal on a parallel build.
-	Peers [][2]int
-	// SimWorkers asks Build for a partitioned fabric run on up to this
-	// many worker goroutines (<= 1, the default, builds the serial
-	// single-kernel form). Parallelism materializes whenever the spec
-	// splits into more than one island (see islandsOf): each island
-	// runs all of its endpoints on a kernel of its own. IOMMU specs
-	// participate too — a global-scope unit couples everything into
-	// one island, while per-socket units couple only the endpoints
-	// sharing a socket. Results are byte-identical either way.
-	SimWorkers int
 	// Faults, when enabled, arms deterministic fault injection on
 	// every endpoint: BER-driven link corruption/replay, completion
 	// timeouts, and retrain events (see internal/fault). Streams are
-	// keyed by (spec seed, global endpoint index, fault class), so
-	// results stay byte-identical at every SimWorkers count. Nil or
+	// keyed by (spec seed, endpoint index, fault class), so one
+	// endpoint's faults do not depend on any other's traffic. Nil or
 	// all-zero installs nothing at all.
 	Faults *fault.Config
 }
@@ -200,16 +185,6 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("topo: endpoint %d's buffer node %d outside the %d-node memory system", i, ep.BufferNode, s.Mem.Nodes)
 		}
 	}
-	for i, pr := range s.Peers {
-		for _, e := range pr {
-			if e < 0 || e >= len(s.Endpoints) {
-				return fmt.Errorf("topo: peer pair %d references endpoint %d of %d", i, e, len(s.Endpoints))
-			}
-		}
-		if pr[0] == pr[1] {
-			return fmt.Errorf("topo: peer pair %d pairs endpoint %d with itself", i, pr[0])
-		}
-	}
 	if _, err := ParseIOMMUScope(s.IOMMUScope); err != nil {
 		return err
 	}
@@ -238,11 +213,8 @@ type Endpoint struct {
 }
 
 // Fabric is an assembled topology, ready to run benchmarks and
-// workloads on every endpoint concurrently. On a serial build every
-// endpoint shares Kernel and RC; on a partitioned build (SimWorkers > 1,
-// several islands) each island owns a kernel and router of its own,
-// shared by all of the island's endpoints, and Kernel/RC alias island
-// 0's.
+// workloads on every endpoint concurrently: every endpoint shares the
+// one event kernel and the one root complex.
 type Fabric struct {
 	Spec   Spec
 	Kernel *sim.Kernel
@@ -258,33 +230,16 @@ type Fabric struct {
 	Switches  []*rc.Switch
 	Endpoints []*Endpoint
 
-	// Kernels holds one kernel per simulation island (Kernels[0] ==
-	// Kernel); Islands lists each island's endpoint indices in
-	// ascending order; Routers holds each island's root complex
-	// (Routers[0] == RC).
+	// Deprecated: Kernels is always {Kernel}; use Kernel.
 	Kernels []*sim.Kernel
-	Islands [][]int
+	// Deprecated: Routers is always {RC}; use RC.
 	Routers []*rc.RootComplex
-
-	epKernel []*sim.Kernel // per-endpoint island kernel
 }
 
-// Parallel reports whether the fabric runs on more than one event
-// kernel (one per island).
-func (f *Fabric) Parallel() bool { return len(f.Kernels) > 1 }
-
-// SimWorkers returns the worker-goroutine budget workloads should run
-// the fabric's islands on (always >= 1).
-func (f *Fabric) SimWorkers() int {
-	if f.Spec.SimWorkers > 1 {
-		return f.Spec.SimWorkers
-	}
-	return 1
-}
-
-// EndpointKernel returns the kernel endpoint i's island runs on (the
-// shared kernel on a serial build).
-func (f *Fabric) EndpointKernel(i int) *sim.Kernel { return f.epKernel[i] }
+// EndpointKernel returns the fabric's kernel.
+//
+// Deprecated: every endpoint runs on Kernel; use it directly.
+func (f *Fabric) EndpointKernel(int) *sim.Kernel { return f.Kernel }
 
 // IOMMUUnits returns every translation unit of the fabric: the single
 // global-scope unit, or the per-socket units in socket order. Empty
@@ -318,13 +273,11 @@ const barBase = uint64(1) << 45
 // any plausible device memory size).
 const barStride = uint64(8) << 30
 
-// addEndpoint assembles endpoint i of the spec on the given router and
-// kernel and appends it to the fabric: port, optional BAR window (its
-// bus address derives from the global endpoint index, so partitioned
-// and serial builds lay out identical address maps), DMA engine and
-// host buffer.
-func addEndpoint(f *Fabric, router *rc.RootComplex, k *sim.Kernel, i int, es EndpointSpec, sock *rc.Socket, sw *rc.Switch) error {
-	port, err := router.AddPort(rc.PortConfig{Link: es.Link, WireDelay: es.WireDelay}, sock, sw)
+// addEndpoint assembles endpoint i of the spec and appends it to the
+// fabric: port, optional BAR window (its bus address derives from the
+// endpoint index), DMA engine and host buffer.
+func addEndpoint(f *Fabric, i int, es EndpointSpec, sock *rc.Socket, sw *rc.Switch) error {
+	port, err := f.RC.AddPort(rc.PortConfig{Link: es.Link, WireDelay: es.WireDelay}, sock, sw)
 	if err != nil {
 		return fmt.Errorf("topo: endpoint %d: %w", i, err)
 	}
@@ -337,7 +290,7 @@ func addEndpoint(f *Fabric, router *rc.RootComplex, k *sim.Kernel, i int, es End
 			return fmt.Errorf("topo: endpoint %d: %w", i, err)
 		}
 	}
-	eng, err := device.New(k, port, es.Device)
+	eng, err := device.New(f.Kernel, port, es.Device)
 	if err != nil {
 		return fmt.Errorf("topo: endpoint %d: %w", i, err)
 	}
@@ -354,9 +307,6 @@ func addEndpoint(f *Fabric, router *rc.RootComplex, k *sim.Kernel, i int, es End
 	}
 	ep := &Endpoint{Name: name, Port: port, Engine: eng, Buffer: buf}
 	if f.Spec.Faults.Enabled() {
-		// Streams key on (resolved seed, global endpoint index, class),
-		// so serial and partitioned builds — which both reach here in
-		// spec order with the same i — arm identical fault sequences.
 		seed := f.Spec.Seed
 		if seed == 0 {
 			seed = 1
@@ -370,117 +320,53 @@ func addEndpoint(f *Fabric, router *rc.RootComplex, k *sim.Kernel, i int, es End
 		eng.SetFaults(fc, ep.Faults)
 	}
 	f.Endpoints = append(f.Endpoints, ep)
-	f.epKernel = append(f.epKernel, k)
 	return nil
 }
 
-// Build assembles the fabric. Construction mirrors the original
-// single-device assembly exactly for degenerate specs (one socket, one
-// directly attached endpoint): same component order, no randomness
-// consumed, so results are byte-identical to the pre-topology code.
-//
-// With SimWorkers > 1 and more than one island (see islandsOf) the
-// fabric is built partitioned: every island runs all of its endpoints
-// on a kernel and root complex of its own, and per-socket IOMMU units
-// bind to the kernel of the island owning their socket. Otherwise —
-// one endpoint, endpoints all coupled by shared state, or a serial
-// request — the whole spec builds as one island on one kernel. Both
-// forms are the same assembly over a different grouping.
-//
-// Either way, the sockets of islands beyond the first sample their
-// jitter from a per-island random stream derived from the spec seed
-// (see islandSeed); the serial build uses the same assignment, so
-// serial remains the reference schedule for every worker count.
+// Build assembles the fabric on one event kernel and one root complex.
+// Construction mirrors the original single-device assembly exactly for
+// degenerate specs (one socket, one directly attached endpoint): same
+// component order, no randomness consumed, so results are
+// byte-identical to the pre-topology code. Sockets draw root-complex
+// jitter from the streams socketRNGs assigns.
 func Build(spec Spec) (*Fabric, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	islands := islandsOf(spec)
-	groups := islands
-	if spec.SimWorkers <= 1 || len(islands) == 1 {
-		all := make([]int, len(spec.Endpoints))
-		for i := range all {
-			all[i] = i
-		}
-		groups = [][]int{all}
-	}
-	return build(spec, islands, groups)
-}
-
-// build assembles a fabric whose endpoint groups each own an event
-// kernel and a root complex, shared by every endpoint of the group.
-// groups is either the spec's islands or one group holding every
-// endpoint; islands always drives the jitter-stream assignment. The
-// shared pieces — the memory system (islands touch disjoint NUMA-node
-// state by construction) and the host buffer allocator (read-only
-// after Build) — are built once; sockets, switches and endpoints are
-// created in spec order on their group's router, and host buffers are
-// allocated in global endpoint order, so the address layout is the
-// same for every grouping.
-func build(spec Spec, islands, groups [][]int) (*Fabric, error) {
 	seed := spec.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	kernels := make([]*sim.Kernel, len(groups))
-	for d := range groups {
-		// Every kernel is seeded alike, which keeps the spec's
-		// single-seed contract: only island 0's sockets draw jitter
-		// from the kernel stream (the others sample their per-island
-		// stream), and group 0 issues island 0's traffic in serial
-		// order, so it draws that stream exactly as the serial build.
-		kernels[d] = sim.New(seed)
-	}
+	k := sim.New(seed)
 	ms, err := mem.NewSystem(spec.Mem)
 	if err != nil {
 		return nil, fmt.Errorf("topo: %w", err)
 	}
-	epGroup := make([]int, len(spec.Endpoints))
-	for d, g := range groups {
-		for _, i := range g {
-			epGroup[i] = d
-		}
-	}
-	// A socket is shared only within one island (that is what the
-	// partitioner guarantees); unused sockets build on group 0.
-	sockGroup := make([]int, len(spec.Sockets))
-	for i := range spec.Endpoints {
-		sockGroup[spec.socketOf(i)] = epGroup[i]
-	}
-
-	// Translation units bind to the kernel of the group owning them. A
-	// global-scope unit couples every endpoint into one island, so it
-	// always lands on a single-group build; per-socket units bind
-	// wherever their socket builds.
 	var mmu *iommu.IOMMU
 	var units []*iommu.IOMMU
 	if spec.IOMMU != nil {
 		if spec.perSocketIOMMU() {
 			units = make([]*iommu.IOMMU, len(spec.Sockets))
 			for i := range units {
-				units[i] = iommu.New(kernels[sockGroup[i]], *spec.IOMMU)
+				units[i] = iommu.New(k, *spec.IOMMU)
 			}
 		} else {
-			mmu = iommu.New(kernels[0], *spec.IOMMU)
+			mmu = iommu.New(k, *spec.IOMMU)
 		}
 	}
 	host := hostif.New(ms, mmu)
 	for _, u := range units {
 		host.AttachIOMMU(u)
 	}
-
-	routers := make([]*rc.RootComplex, len(groups))
-	for d := range groups {
-		routers[d] = rc.NewRouter(kernels[d], ms, mmu, host)
-		if spec.Interconnect != nil {
-			routers[d].SetInterconnect(*spec.Interconnect)
-		}
+	router := rc.NewRouter(k, ms, mmu, host)
+	if spec.Interconnect != nil {
+		router.SetInterconnect(*spec.Interconnect)
 	}
 
-	sockRNG := socketRNGs(spec, seed, islands)
+	sockRNG := socketRNGs(spec, seed)
 	sockets := make([]*rc.Socket, len(spec.Sockets))
 	for i, sc := range spec.Sockets {
-		sockets[i], err = routers[sockGroup[i]].AddSocket(rc.SocketConfig{
+		sockets[i], err = router.AddSocket(rc.SocketConfig{
 			Node: sc.Node, PipeLatency: sc.PipeLatency, PipeSlots: sc.PipeSlots,
 			Jitter: sc.Jitter, RNG: sockRNG[i], IOMMU: unitAt(units, i),
 		})
@@ -490,7 +376,7 @@ func build(spec Spec, islands, groups [][]int) (*Fabric, error) {
 	}
 	switches := make([]*rc.Switch, len(spec.Switches))
 	for i, sw := range spec.Switches {
-		switches[i], err = routers[sockGroup[sw.Socket]].AddSwitch(rc.SwitchConfig{
+		switches[i], err = router.AddSwitch(rc.SwitchConfig{
 			Uplink: sw.Uplink, WireDelay: sw.WireDelay,
 			ForwardLatency: sw.ForwardLatency, DrainLatency: sw.DrainLatency,
 			UpCredits: sw.UpCredits, DownCredits: sw.DownCredits,
@@ -501,9 +387,9 @@ func build(spec Spec, islands, groups [][]int) (*Fabric, error) {
 	}
 
 	f := &Fabric{
-		Spec: spec, Kernel: kernels[0], Mem: ms, IOMMU: mmu, IOMMUs: units, Host: host,
-		RC: routers[0], Switches: switches,
-		Kernels: kernels, Islands: groups, Routers: routers,
+		Spec: spec, Kernel: k, Mem: ms, IOMMU: mmu, IOMMUs: units, Host: host,
+		RC: router, Switches: switches,
+		Kernels: []*sim.Kernel{k}, Routers: []*rc.RootComplex{router},
 	}
 	for i, es := range spec.Endpoints {
 		var sw *rc.Switch
@@ -513,25 +399,8 @@ func build(spec Spec, islands, groups [][]int) (*Fabric, error) {
 		} else {
 			sw = switches[es.Switch]
 		}
-		d := epGroup[i]
-		if err := addEndpoint(f, routers[d], kernels[d], i, es, sock, sw); err != nil {
+		if err := addEndpoint(f, i, es, sock, sw); err != nil {
 			return nil, err
-		}
-	}
-	// Mirror every BAR window into the routers of the other groups so
-	// peer DMA that would cross domains is detected and rejected at the
-	// routing boundary instead of silently treated as host memory.
-	for i, ep := range f.Endpoints {
-		if ep.Port.BAR() == nil {
-			continue
-		}
-		for d, r := range routers {
-			if d == epGroup[i] {
-				continue
-			}
-			if err := r.MirrorBAR(ep.Port); err != nil {
-				return nil, fmt.Errorf("topo: endpoint %d: %w", i, err)
-			}
 		}
 	}
 	return f, nil

@@ -2,30 +2,24 @@ package topo
 
 import (
 	"pciebench/internal/fault"
-	"pciebench/internal/sim"
 	"pciebench/internal/workload"
 )
 
 // RunWorkload drives cfg's traffic on every endpoint of the fabric
 // concurrently: each endpoint's ring region is host-warmed, its port
 // becomes the workload path and its buffer base the queue region, then
-// the workload engine executes them all — on the one shared kernel of
-// a serial fabric, or island by island on up to f.SimWorkers()
-// goroutines for a partitioned one, every endpoint of an island on
-// that island's kernel, with byte-identical results at every worker
-// count. This is the single assembly the sweep engine, the CLI and the
-// examples share.
+// the workload engine executes them all on the fabric's kernel. This
+// is the single assembly the sweep engine, the CLI and the examples
+// share.
 func RunWorkload(f *Fabric, cfg workload.Config, pairsEach int) (*workload.MultiResult, error) {
 	paths := make([]workload.Path, len(f.Endpoints))
 	bases := make([]uint64, len(f.Endpoints))
-	kernels := make([]*sim.Kernel, len(f.Endpoints))
 	for i, ep := range f.Endpoints {
 		ep.Buffer.WarmHost(0, cfg.Footprint())
 		paths[i] = ep.Port
 		bases[i] = ep.Buffer.DMAAddr(0)
-		kernels[i] = f.EndpointKernel(i)
 	}
-	res, err := workload.RunMultiKernels(kernels, paths, bases, cfg, pairsEach, f.SimWorkers())
+	res, err := workload.RunMulti(f.Kernel, paths, bases, cfg, pairsEach)
 	if err == nil {
 		attachFaults(f, res)
 	}

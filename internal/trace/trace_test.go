@@ -13,7 +13,7 @@ import (
 	"pciebench/internal/trace"
 )
 
-func sampleRecords(t *testing.T) []trace.Record {
+func sampleRecords(t testing.TB) []trace.Record {
 	t.Helper()
 	rd := tlp.MemRead{Addr: 0x1000, LengthDW: 16, FirstBE: 0xF, LastBE: 0xF, Addr64: true, Tag: 3}
 	rdBytes, err := rd.AppendTo(nil)

@@ -3,7 +3,6 @@ package workload_test
 import (
 	"testing"
 
-	"pciebench/internal/sim"
 	"pciebench/internal/sysconf"
 	"pciebench/internal/topo"
 	"pciebench/internal/workload"
@@ -29,16 +28,6 @@ func multiFabric(t *testing.T, n int) *topo.Fabric {
 	return fab
 }
 
-// endpointKernels lists each endpoint's island kernel, the kernel slice
-// RunMultiKernels takes.
-func endpointKernels(fab *topo.Fabric) []*sim.Kernel {
-	ks := make([]*sim.Kernel, len(fab.Endpoints))
-	for i := range ks {
-		ks[i] = fab.EndpointKernel(i)
-	}
-	return ks
-}
-
 // TestRunMultiAggregates checks the multi-endpoint bookkeeping: every
 // endpoint completes its pairs, the aggregate counts add up, and the
 // per-endpoint breakdown carries populated latency summaries.
@@ -53,7 +42,7 @@ func TestRunMultiAggregates(t *testing.T) {
 		paths[i] = ep.Port
 		bases[i] = ep.Buffer.DMAAddr(0)
 	}
-	res, err := workload.RunMultiKernels(endpointKernels(fab), paths, bases, cfg, pairs, 1)
+	res, err := workload.RunMulti(fab.Kernel, paths, bases, cfg, pairs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +87,7 @@ func TestRunMultiDeterministic(t *testing.T) {
 		for _, ep := range fab.Endpoints {
 			ep.Buffer.WarmHost(0, cfg.Footprint())
 		}
-		res, err := workload.RunMultiKernels(endpointKernels(fab), paths, bases, cfg, 200, 1)
+		res, err := workload.RunMulti(fab.Kernel, paths, bases, cfg, 200)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,20 +106,14 @@ func TestRunMultiDeterministic(t *testing.T) {
 func TestRunMultiValidation(t *testing.T) {
 	fab := multiFabric(t, 2)
 	paths := []workload.Path{fab.Endpoints[0].Port}
-	one := []*sim.Kernel{fab.Kernel}
-	if _, err := workload.RunMultiKernels(nil, paths, []uint64{0}, workload.Config{}, 10, 1); err == nil {
-		t.Error("no kernels accepted")
-	}
-	if _, err := workload.RunMultiKernels(one, nil, nil, workload.Config{}, 10, 1); err == nil {
+	k := fab.Kernel
+	if _, err := workload.RunMulti(k, nil, nil, workload.Config{}, 10); err == nil {
 		t.Error("no paths accepted")
 	}
-	if _, err := workload.RunMultiKernels(endpointKernels(fab), paths, []uint64{0}, workload.Config{}, 10, 1); err == nil {
-		t.Error("mismatched kernels accepted")
-	}
-	if _, err := workload.RunMultiKernels(one, paths, nil, workload.Config{}, 10, 1); err == nil {
+	if _, err := workload.RunMulti(k, paths, nil, workload.Config{}, 10); err == nil {
 		t.Error("mismatched bases accepted")
 	}
-	if _, err := workload.RunMultiKernels(one, paths, []uint64{0}, workload.Config{}, 0, 1); err == nil {
+	if _, err := workload.RunMulti(k, paths, []uint64{0}, workload.Config{}, 0); err == nil {
 		t.Error("zero pairs accepted")
 	}
 }

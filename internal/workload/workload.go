@@ -695,32 +695,16 @@ type MultiResult struct {
 	Endpoints []EndpointResult `json:"endpoints"`
 }
 
-// RunMultiKernels drives the same workload on every path concurrently —
-// one independent engine state per endpoint, so their traffic contends
-// for whatever the topology shares (a switch uplink, the root-complex
-// pipeline, the LLC). bases[i] is endpoint i's buffer base address;
-// each endpoint's workload randomness is decorrelated from cfg.Seed by
-// its index. Every endpoint completes pairsEach packet pairs.
-//
-// kernels[i] is the event kernel endpoint i's simulation island runs
-// on, and every endpoint that shares simulation state with another must
-// share its kernel. The kernels are deduplicated (in first-appearance
-// order) into domains; a single domain runs on the calling goroutine,
-// several run concurrently on up to workers goroutines via
-// sim.NewParallel. Islands exchange no events, so each runs to
-// completion on its own. State construction, start-event scheduling
-// and result collection all happen in global endpoint order, which
-// keeps results byte-identical to the serial single-kernel run at every
-// worker count.
-func RunMultiKernels(kernels []*sim.Kernel, paths []Path, bases []uint64, cfg Config, pairsEach, workers int) (*MultiResult, error) {
-	if len(kernels) == 0 {
-		return nil, fmt.Errorf("workload: no kernels")
-	}
+// RunMulti drives the same workload on every path concurrently on
+// kernel k — one independent engine state per endpoint, so their
+// traffic contends for whatever the topology shares (a switch uplink,
+// the root-complex pipeline, the LLC). bases[i] is endpoint i's buffer
+// base address; each endpoint's workload randomness is decorrelated
+// from cfg.Seed by its index. Every endpoint completes pairsEach packet
+// pairs.
+func RunMulti(k *sim.Kernel, paths []Path, bases []uint64, cfg Config, pairsEach int) (*MultiResult, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("workload: no paths")
-	}
-	if len(kernels) != len(paths) {
-		return nil, fmt.Errorf("workload: %d kernels but %d paths", len(kernels), len(paths))
 	}
 	if len(paths) != len(bases) {
 		return nil, fmt.Errorf("workload: %d paths but %d buffer bases", len(paths), len(bases))
@@ -733,30 +717,16 @@ func RunMultiKernels(kernels []*sim.Kernel, paths []Path, bases []uint64, cfg Co
 		return nil, err
 	}
 
-	var domains []*sim.Kernel
-	seen := map[*sim.Kernel]bool{}
-	for _, k := range kernels {
-		if !seen[k] {
-			seen[k] = true
-			domains = append(domains, k)
-		}
-	}
-
 	states := make([]*runState, len(paths))
-	starts := make([]sim.Time, len(paths))
 	for i := range paths {
-		states[i] = newRunState(kernels[i], paths[i], bases[i], cfg, pairsEach, runner.Seed(cfg.Seed, i))
+		states[i] = newRunState(k, paths[i], bases[i], cfg, pairsEach, runner.Seed(cfg.Seed, i))
 		defer states[i].release()
 	}
-	for i, s := range states {
-		starts[i] = kernels[i].Now()
-		kernels[i].AfterEvent(0, startEvent{s}, 0, 0)
+	start := k.Now()
+	for _, s := range states {
+		k.AfterEvent(0, startEvent{s}, 0, 0)
 	}
-	if len(domains) == 1 {
-		domains[0].Run()
-	} else {
-		sim.NewParallel(domains).Run(workers)
-	}
+	k.Run()
 
 	res := &MultiResult{}
 	runs := make([][]float64, len(states))
@@ -765,14 +735,14 @@ func RunMultiKernels(kernels []*sim.Kernel, paths []Path, bases []uint64, cfg Co
 		if err := s.finished(); err != nil {
 			return nil, fmt.Errorf("workload: endpoint %d: %w", i, err)
 		}
-		if d := s.endAt - starts[i]; d > res.Elapsed {
+		if d := s.endAt - start; d > res.Elapsed {
 			res.Elapsed = d
 		}
 		res.Pairs += s.pairs
 		for q := range s.queues {
 			totalBytes += s.queues[q].bytes
 		}
-		res.Endpoints = append(res.Endpoints, EndpointResult{Endpoint: i, Result: *s.collect(starts[i])})
+		res.Endpoints = append(res.Endpoints, EndpointResult{Endpoint: i, Result: *s.collect(start)})
 		runs[i] = s.lat // sorted by collect
 	}
 	secs := res.Elapsed.Seconds()
